@@ -13,6 +13,18 @@ the southwest bump into a cross and the northeast cross into a bump, which
 slides one crossing down-left along its rectangle without changing the
 wiring.  The pipes meeting at the northeast corner name the move: the same
 pair (i, j) also names the tableau box whose entry the move raises.
+
+Moves are found from a corner rather than by trying every rectangle.  A
+move is fixed by its northeast cross (t, r): the top row reads B C...C on
+columns l..r, so l can only be the nearest non-cross left of (t, r); the
+rows strictly between are all crosses on l..r and the bottom row is not,
+so the bottom b can only be the first row below t whose span l..r is not
+all crosses.  Each cross therefore yields at most one move, and what is
+left to test is that row b reads B C...C B/E.  Inverse moves are found
+the same way from the southwest cross (b, l): r is the nearest non-cross
+to its right, and the top is the first row above whose span is not all
+crosses, which must read B C...C B.  A scan reads at most O(n^2) tiles
+per cross, where the rectangle search tested O(n^4) rectangles box by box.
 """
 
 from __future__ import annotations
@@ -75,67 +87,73 @@ class ChuteMove:
         return ChuteMove(t, b, l, r, i, j)
 
 
-def _rect_boxes(t, b, l, r):
-    for row in range(t, b + 1):
-        for col in range(l, r + 1):
-            yield (row, col)
+def _reads(dream: PipeDream, row: int, l: int, r: int, west: str, east: str) -> bool:
+    """Whether row ``row`` reads ``west``, then crosses, then a tile from
+    ``east`` across columns l..r; a span leaving the staircase never does."""
+    span = dream.rows[row - 1][l - 1 : r]
+    return (
+        len(span) == r - l + 1
+        and span[0] == west
+        and span[-1] in east
+        and span[1:-1] == CROSS * (r - l - 1)
+    )
 
 
-def _matches(dream: PipeDream, t: int, b: int, l: int, r: int, after: bool) -> bool:
+def _fits(dream: PipeDream, t: int, b: int, l: int, r: int, after: bool) -> bool:
     """Tile pattern of a move rectangle, before (after=False) or after the
-    move.  Each box must satisfy every corner constraint that names it, so
-    degenerate rectangles fail by contradiction, never by a size filter."""
+    move."""
     if b + r > dream.n + 1:
         return False
-    for (row, col) in _rect_boxes(t, b, l, r):
-        allowed = {CROSS, BUMP, ELBOW}
-        if (row, col) == (t, l):
-            allowed &= {BUMP}
-        if (row, col) == (b, l):
-            allowed &= {CROSS} if after else {BUMP}
-        if (row, col) == (t, r):
-            allowed &= {BUMP} if after else {CROSS}
-        if (row, col) == (b, r):
-            allowed &= {BUMP, ELBOW}
-        if (row, col) not in ((t, l), (b, l), (t, r), (b, r)):
-            allowed &= {CROSS}
-        if dream.tile(row, col) not in allowed:
-            return False
-    return True
-
-
-def _all_rects(n):
-    """Every rectangle in the staircase, degenerate ones included; the
-    pattern matcher is what rules the degenerate ones out."""
-    for t in range(1, n + 1):
-        for b in range(t, n + 1):
-            for l in range(1, n + 1):
-                for r in range(l, n + 2 - b):
-                    yield (t, b, l, r)
+    full = CROSS * (r - l + 1)
+    return (
+        _reads(dream, t, l, r, BUMP, BUMP if after else CROSS)
+        and all(dream.rows[s - 1][l - 1 : r] == full for s in range(t + 1, b))
+        and _reads(dream, b, l, r, CROSS if after else BUMP, BUMP + ELBOW)
+    )
 
 
 def find_moves(dream: PipeDream) -> list[ChuteMove]:
-    """All applicable moves, sorted by (top, left, bottom, right)."""
-    routing = trace(dream)
+    """All applicable moves, sorted by (top, left, bottom, right); one scan
+    per northeast cross."""
+    cross_pipes = trace(dream).cross_pipes
     out = []
-    for (t, b, l, r) in _all_rects(dream.n):
-        if _matches(dream, t, b, l, r, after=False):
-            h, v = routing.cross_pipes[(t, r)]
-            out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
+    for t, row in enumerate(dream.rows, start=1):
+        for r, tile in enumerate(row, start=1):
+            if tile != CROSS:
+                continue
+            l = len(row[: r - 1].rstrip(CROSS))
+            if l == 0:
+                continue
+            full = CROSS * (r - l + 1)
+            b = t + 1
+            while dream.rows[b - 1][l - 1 : r] == full:
+                b += 1
+            if _reads(dream, b, l, r, BUMP, BUMP + ELBOW):
+                h, v = cross_pipes[(t, r)]
+                out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
     out.sort(key=lambda m: (m.top, m.left, m.bottom, m.right))
     return out
 
 
 def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
-    """All moves that produce this dream, sorted like ``find_moves``.  The
-    pipe pair is read at the southwest corner, where the moved crossing
-    now sits."""
-    routing = trace(dream)
+    """All moves that produce this dream, sorted like ``find_moves``; one
+    scan per southwest cross.  The pipe pair is read at the southwest
+    corner, where the moved crossing now sits."""
+    cross_pipes = trace(dream).cross_pipes
     out = []
-    for (t, b, l, r) in _all_rects(dream.n):
-        if _matches(dream, t, b, l, r, after=True):
-            h, v = routing.cross_pipes[(b, l)]
-            out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
+    for b, row in enumerate(dream.rows, start=1):
+        for l, tile in enumerate(row, start=1):
+            if tile != CROSS:
+                continue
+            rest = row[l:]
+            r = l + 1 + len(rest) - len(rest.lstrip(CROSS))
+            full = CROSS * (r - l + 1)
+            t = b - 1
+            while t and dream.rows[t - 1][l - 1 : r] == full:
+                t -= 1
+            if t and _reads(dream, t, l, r, BUMP, BUMP):
+                h, v = cross_pipes[(b, l)]
+                out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
     out.sort(key=lambda m: (m.top, m.left, m.bottom, m.right))
     return out
 
@@ -143,7 +161,7 @@ def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
 def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Perform the move; rejects rectangles whose tiles do not match."""
     t, b, l, r = move.rect
-    if not _matches(dream, t, b, l, r, after=False):
+    if not _fits(dream, t, b, l, r, after=False):
         raise ValueError(f"move {move} is not applicable")
     return dream.with_tiles({(b, l): CROSS, (t, r): BUMP})
 
@@ -151,7 +169,7 @@ def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
 def inverse_apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Undo the move; rejects rectangles whose tiles do not match."""
     t, b, l, r = move.rect
-    if not _matches(dream, t, b, l, r, after=True):
+    if not _fits(dream, t, b, l, r, after=True):
         raise ValueError(f"move {move} cannot be undone here")
     return dream.with_tiles({(b, l): BUMP, (t, r): CROSS})
 

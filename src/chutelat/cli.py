@@ -24,18 +24,6 @@ __all__ = ["main"]
 INFO_SIZE_LIMIT = 7  # fibers are enumerated on demand only up to this n
 
 
-def _parse_perm(text: str) -> Permutation:
-    if "," in text:
-        parts = [int(p) for p in text.split(",")]
-    else:
-        if not text.isdigit():
-            raise ValueError(
-                f"one-line notation must be digits (n <= 9) or comma-separated: {text!r}"
-            )
-        parts = [int(ch) for ch in text]
-    return Permutation(tuple(parts))
-
-
 def _load_dream(path: str) -> PipeDream:
     with open(path, "r", encoding="utf-8") as fh:
         return PipeDream.from_json(json.load(fh))
@@ -82,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    w = _parse_perm(args.perm)
+    w = Permutation.parse(args.perm)
     if args.count and args.json:
         raise ValueError("--count and --json are mutually exclusive")
     if args.seed_check:
@@ -97,7 +85,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    w = _parse_perm(args.perm)
+    w = Permutation.parse(args.perm)
     dot = to_dot(cached_poset(w))
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(dot)
@@ -105,7 +93,7 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    w = _parse_perm(args.perm)
+    w = Permutation.parse(args.perm)
     names = tuple(args.checks.split(",")) if args.checks else None
     report = run_checks(w, names, args.budget_ms)
     print(json.dumps(report.to_json(), indent=2))
@@ -113,7 +101,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_schubert(args) -> int:
-    w = _parse_perm(args.perm)
+    w = Permutation.parse(args.perm)
     poly = schubert_from_pipedreams(w)
     print(poly)
     if args.oracle_check:
@@ -128,7 +116,7 @@ def _cmd_schubert(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    w = _parse_perm(args.perm)
+    w = Permutation.parse(args.perm)
     d_from = _load_dream(args.src)
     d_to = _load_dream(args.dst)
     for d in (d_from, d_to):
@@ -151,7 +139,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    w = _parse_perm(args.perm)
+    w = Permutation.parse(args.perm)
     size = cached_poset(w).size if w.n <= INFO_SIZE_LIMIT else None
     obj = {
         "w": str(w),

@@ -111,9 +111,15 @@ class PipeDream:
         return {"n": self.n, "rows": list(self.rows)}
 
     @staticmethod
-    def from_json(obj: dict) -> "PipeDream":
+    def from_json(obj) -> "PipeDream":
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("rows"), list)
+            and all(isinstance(row, str) for row in obj["rows"])
+        ):
+            raise ValueError('a dream is a JSON object {"n": ..., "rows": [row strings]}')
         dream = PipeDream(tuple(obj["rows"]))
-        if dream.n != obj["n"]:
+        if dream.n != obj.get("n"):
             raise ValueError("n field disagrees with row count")
         return dream
 
@@ -151,10 +157,6 @@ class Routing:
             if rec.pipe_lo == lo and rec.pipe_hi == hi:
                 return rec
         return None
-
-    def crossings_of_pair(self, i: int, j: int) -> list[CrossingRecord]:
-        lo, hi = min(i, j), max(i, j)
-        return [r for r in self.crossings if (r.pipe_lo, r.pipe_hi) == (lo, hi)]
 
 
 @lru_cache(maxsize=8192)

@@ -73,15 +73,20 @@ class ChutePoset:
     witnesses are stable across runs.  Internally every element carries
     bitmasks of its strict up- and down-sets; covers are the single-move
     edges with nothing strictly between.
+
+    ``moves_up[k]`` holds the moves out of element k, in the order
+    ``chute.find_moves`` returns them, each paired with its target's index.
     """
 
-    def __init__(self, w: Permutation, elements: tuple[PipeDream, ...]):
+    def __init__(self, w: Permutation, elements: tuple[PipeDream, ...], moves_up: tuple):
         self.w = w
         self.elements = elements
         self.index = {d: k for k, d in enumerate(elements)}
         if len(self.index) != len(elements):
             raise ValueError("duplicate elements")
         size = len(elements)
+        if len(moves_up) != size:
+            raise ValueError("need one row of moves per element")
         self.thetas = tuple(theta(d) for d in elements)
         self.phis = tuple(lehmer_form(t, w) for t in self.thetas)
         self.vectors = tuple(L.as_vector() for L in self.phis)
@@ -91,13 +96,7 @@ class ChutePoset:
                 "crossing-row map is not injective on this fiber",
                 witness={"w": str(w)},
             )
-        moves = []
-        for d in elements:
-            row = tuple(
-                (mv, self.index[chute.apply(d, mv)]) for mv in chute.find_moves(d)
-            )
-            moves.append(row)
-        self._moves_up: tuple = tuple(moves)
+        self._moves_up: tuple = moves_up
         totals = [sum(v) for v in self.vectors]
         for k, row in enumerate(self._moves_up):
             for _mv, j in row:
@@ -317,7 +316,13 @@ def classify_polygon(iv: Interval) -> PolygonType:
     if set(chains[0]) & set(chains[1]) != {iv.bottom, iv.top}:
         return PolygonType.NOT_A_POLYGON
     # an element off both chains would start a third one
-    assert set(chains[0]) | set(chains[1]) == set(iv.members)
+    off_chains = set(iv.members) - set(chains[0]) - set(chains[1])
+    if off_chains:
+        raise TheoremViolation(
+            "interval element lies on neither maximal chain",
+            witness={"bottom": iv.bottom, "top": iv.top,
+                     "chains": [list(c) for c in chains], "off_chains": sorted(off_chains)},
+        )
     if iv.size == 4:
         return PolygonType.DIAMOND
     if iv.size == 5:
@@ -331,30 +336,38 @@ def classify_polygon(iv: Interval) -> PolygonType:
 
 def enumerate_poset(w: Permutation) -> ChutePoset:
     """Undirected breadth-first closure of the seed dream under moves and
-    inverse moves.  The seed's wiring is re-checked at runtime; a mismatch
-    means the seed construction itself is broken, so it aborts loudly."""
+    inverse moves, searching each element once.  The up-moves found on the
+    way are the poset's move edges, kept against discovery ids so that each
+    dream is stored once.  The seed's wiring is re-checked at runtime; a
+    mismatch means the seed construction itself is broken, so it aborts
+    loudly."""
     seed = seed_dream(w)
     if trace(seed).wiring != w:
         raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
-    layer = {seed: 0}
-    frontier = [seed]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for d in frontier:
-            found = []
-            for mv in chute.find_moves(d):
-                found.append(chute.apply(d, mv))
-            for mv in chute.find_inverse_moves(d):
-                found.append(chute.inverse_apply(d, mv))
-            for e in found:
-                if e not in layer:
-                    layer[e] = depth
-                    nxt.append(e)
-        frontier = nxt
-    elements = tuple(sorted(layer, key=lambda d: (layer[d], d.rows)))
-    return ChutePoset(w, elements)
+    ids = {seed: 0}
+    dreams = [seed]
+    depth = [0]
+    up = []
+
+    def visit(e: PipeDream, k: int) -> int:
+        j = ids.get(e)
+        if j is None:
+            j = ids[e] = len(dreams)
+            dreams.append(e)
+            depth.append(depth[k] + 1)
+        return j
+
+    # dreams grows while it is walked, which makes it the BFS queue
+    for k, d in enumerate(dreams):
+        up.append([(mv, visit(chute.apply(d, mv), k)) for mv in chute.find_moves(d)])
+        for mv in chute.find_inverse_moves(d):
+            visit(chute.inverse_apply(d, mv), k)
+    order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
+    canon = [0] * len(order)
+    for pos, k in enumerate(order):
+        canon[k] = pos
+    moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
+    return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +475,11 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
     t = t_from
     for _ in range(sum(delta.values()) + 1):
         m = delta_multiset(t, t_to, w)
-        assert m is not None, "a step overshot the target"
+        if m is None:
+            raise TheoremViolation(
+                "a step overshot the target",
+                witness={"from": t_from.to_json(), "to": t_to.to_json(), "reached": t.to_json()},
+            )
         if not m:
             return tuple(steps)
         x_boxes = []

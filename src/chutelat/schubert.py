@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import TheoremViolation
 from .perm import Permutation
 from .poset import cached_poset
 
@@ -148,7 +149,11 @@ def divided_difference(poly: IntPolynomial, r: int) -> IntPolynomial:
     out = IntPolynomial.from_dict(d)
     xr = IntPolynomial.monomial((0,) * (r - 1) + (1,))
     xr1 = IntPolynomial.monomial((0,) * r + (1,))
-    assert out * (xr - xr1) == poly - _swap_vars(poly, r), "division was not exact"
+    if out * (xr - xr1) != poly - _swap_vars(poly, r):
+        raise TheoremViolation(
+            "division was not exact",
+            witness={"poly": str(poly), "r": r, "quotient": str(out)},
+        )
     return out
 
 

@@ -46,6 +46,8 @@ class Deadline:
         if budget_ms is None:
             env = os.environ.get("CHUTELAT_BUDGET_MS")
             budget_ms = int(env) if env else DEFAULT_BUDGET_MS
+        if budget_ms < 0:
+            raise ValueError(f"budget must be at least 0 ms, got {budget_ms}")
         self.budget_ms = budget_ms
         self.start = time.perf_counter()
 

@@ -68,6 +68,10 @@ def test_apply_rejects_mismatched_pattern():
         apply(bottom, ChuteMove(2, 3, 1, 2, 3, 4))
     with pytest.raises(ValueError):
         inverse_apply(bottom, ChuteMove(1, 2, 2, 3, 3, 4))
+    # rows 2..3, columns 1..3 would reach box (3, 3), outside the staircase
+    for step in (apply, inverse_apply):
+        with pytest.raises(ValueError):
+            step(bottom, ChuteMove(2, 3, 1, 3, 1, 2))
 
 
 def test_apply_preserves_wiring_and_crosses():

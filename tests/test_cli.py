@@ -103,6 +103,13 @@ def test_verify_zero_budget(capsys):
     assert all(c["status"] == "skipped" for c in json.loads(out)["checks"])
 
 
+def test_verify_negative_budget_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "2143", "--budget-ms", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_schubert(capsys):
     code, out, _ = run(capsys, "schubert", "321")
     assert code == 0
@@ -152,6 +159,16 @@ def test_render(capsys, tmp_path):
     code, out, _ = run(capsys, "render", path)
     assert code == 0
     assert out == "+))\n))\n)\n"
+
+
+@pytest.mark.parametrize("blob", ["{}", "[1]", '{"n": 1, "rows": [1]}'])
+def test_render_malformed_dream_exits_2(capsys, tmp_path, blob):
+    path = tmp_path / "bad.json"
+    path.write_text(blob)
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_info(capsys):

@@ -3,10 +3,13 @@ from collections import Counter
 
 import pytest
 
+from chutelat import poset as poset_module
 from chutelat.chute import check_increment_correspondence
+from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import theta
 from chutelat.poset import (
+    Interval,
     PolygonType,
     brute_force_enumerate,
     cached_poset,
@@ -179,6 +182,18 @@ def test_glued_diamonds_are_not_a_polygon():
     assert classify_polygon(iv) is PolygonType.NOT_A_POLYGON
 
 
+def test_member_off_both_chains_is_a_violation():
+    # a diamond whose member list claims one more element than its two
+    # maximal chains pass through
+    p = cached_poset(Permutation.parse("12453"))
+    iv = p.interval_idx(4, 1)
+    stray = next(k for k in range(p.size) if k not in iv.members)
+    bad = Interval(p, iv.bottom, iv.top, iv.members + (stray,), iv.mask)
+    with pytest.raises(TheoremViolation) as exc:
+        classify_polygon(bad)
+    assert exc.value.witness["off_chains"] == [stray]
+
+
 def test_single_moves_all_covers_recorded():
     # measured outcome at desk scale: no single move skips a level
     for n in (3, 4):
@@ -222,6 +237,23 @@ def test_chute_path_composes_to_target():
             for step in chute_path(p.thetas[a], p.thetas[b]):
                 t = increment_multiset(t, step.bset)
             assert t == p.thetas[b]
+
+
+def test_chute_path_overshoot_is_a_violation(monkeypatch):
+    # the difference multiset vanishing mid-path means a step went past
+    # the target
+    p = cached_poset(Permutation.parse("1432"))
+    real = poset_module.delta_multiset
+    calls = []
+
+    def first_call_only(*args):
+        calls.append(args)
+        return real(*args) if len(calls) == 1 else None
+
+    monkeypatch.setattr(poset_module, "delta_multiset", first_call_only)
+    with pytest.raises(TheoremViolation, match="overshot") as exc:
+        chute_path(p.thetas[4], p.thetas[0])
+    assert exc.value.witness["reached"] == p.thetas[4].to_json()
 
 
 def test_to_dot_frozen():

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from chutelat import schubert
+from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.poset import cached_poset
 from chutelat.schubert import (
@@ -54,6 +56,14 @@ def test_divided_difference_frozen():
     assert out == IntPolynomial.from_dict({(2, 0): -1, (1, 1): -1, (0, 2): -1})
     with pytest.raises(ValueError):
         divided_difference(x1sq, 0)
+
+
+def test_inexact_division_is_a_violation(monkeypatch):
+    # a wrong swap makes the re-multiplied quotient disagree
+    monkeypatch.setattr(schubert, "_swap_vars", lambda poly, r: poly)
+    with pytest.raises(TheoremViolation, match="not exact") as exc:
+        divided_difference(IntPolynomial.monomial((2,)), 1)
+    assert exc.value.witness == {"poly": "x1^2", "r": 1, "quotient": "x1 + x2"}
 
 
 def test_oracle_frozen_values():
