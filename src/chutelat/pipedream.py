@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+from .errors import TheoremViolation
 from .perm import Permutation
 from .tableaux import InversionsTableau, LehmerTableau, lehmer_form
 
@@ -37,7 +38,6 @@ __all__ = [
     "transpose",
     "hat_delete",
     "triforce_embed",
-    "phi_transpose_entry",
 ]
 
 CROSS = "C"
@@ -186,8 +186,9 @@ def trace(dream: PipeDream) -> Routing:
                 if t == CROSS:
                     vert[(r, c)] = pipe
                 if t == ELBOW:
-                    raise AssertionError(
-                        f"pipe {pipe} entered boundary box ({r},{c}) from the south"
+                    raise TheoremViolation(
+                        f"pipe {pipe} entered boundary box ({r},{c}) from the south",
+                        witness={"dream": dream.to_json(), "pipe": pipe, "box": [r, c]},
                     )
             if goes_east:
                 c += 1
@@ -270,15 +271,20 @@ def hat_delete(dream: PipeDream) -> "PipeDream":
     for r in range(1, n):
         boxes = by_row.get(r)
         if not boxes:
-            raise AssertionError(f"pipe {n} misses row {r}")
+            raise TheoremViolation(
+                f"pipe {n} misses row {r}",
+                witness={"dream": dream.to_json(), "pipe": n, "row": r},
+            )
         tiles = [dream.tile(*b) for b in boxes]
         if not (
             tiles == [CROSS]
             or (len(tiles) == 2 and tiles[0] == BUMP and tiles[1] in (BUMP, ELBOW))
         ):
-            raise AssertionError(
+            raise TheoremViolation(
                 f"pipe {n} occupies {boxes} in row {r} with tiles {tiles}; "
-                f"a reduced dream allows a single cross or a bump pair"
+                f"a reduced dream allows a single cross or a bump pair",
+                witness={"dream": dream.to_json(), "pipe": n, "row": r,
+                         "boxes": [list(b) for b in boxes]},
             )
         drop_col = max(c for (_, c) in boxes)
         row = dream.rows[r - 1]
@@ -287,7 +293,10 @@ def hat_delete(dream: PipeDream) -> "PipeDream":
         if new_row[-1] == BUMP:
             new_row = new_row[:-1] + ELBOW
         elif new_row[-1] != ELBOW:
-            raise AssertionError(f"cross landed on the boundary in row {r}")
+            raise TheoremViolation(
+                f"cross landed on the boundary in row {r}",
+                witness={"dream": dream.to_json(), "pipe": n, "row": r},
+            )
         new_rows.append(new_row)
     return PipeDream(tuple(new_rows))
 
@@ -304,33 +313,3 @@ def triforce_embed(dream: PipeDream) -> "PipeDream":
         if r + c <= n:
             updates[(n + 1 - c, n + 1 - r)] = dream.tile(r, c)
     return big.with_tiles(updates)
-
-
-def phi_transpose_entry(dream: PipeDream, i: int, j: int) -> int:
-    """Entry of the relabeled tableau of the transposed dream at the box
-    the inversion (i, j) maps to, computed without transposing: one less
-    than the crossing column of pipes i and j, minus the number of pipes
-    whose labels occur before j in the wiring word and which cross pipe i
-    strictly to the left of that column."""
-    if not 1 <= i < j <= dream.n:
-        raise ValueError(f"({i},{j}) is not a valid pipe pair for n={dream.n}")
-    routing = trace(dream)
-    w = routing.wiring
-    rec = routing.crossing_of(i, j)
-    if rec is None:
-        raise ValueError(f"({i},{j}) is not an inversion of {w}")
-    col = rec.col
-    earlier_values = {w(k) for k in range(1, w.position_of(j))}
-    competitors = 0
-    for other in routing.crossings:
-        if other.pipe_lo == i and other.pipe_hi == j:
-            continue
-        if i == other.pipe_lo:
-            d = other.pipe_hi
-        elif i == other.pipe_hi:
-            d = other.pipe_lo
-        else:
-            continue
-        if d in earlier_values and other.col < col:
-            competitors += 1
-    return col - competitors - 1

@@ -6,6 +6,15 @@ dream, after which every query (covers, meets, joins, intervals) runs on
 dense bitmask closures.  Nothing here assumes the structural theorems:
 meets and joins are searched for and their uniqueness is checked, with a
 TheoremViolation carrying a witness whenever a check fails.
+
+Bit layout: bit r of a closure mask stands for the element of rank r in
+one linear extension, the order by Lehmer total with the canonical index
+as tie-break.  ``ChutePoset._order[r]`` is that element's canonical index
+and ``ChutePoset._rank`` maps back; nothing outside the masks sees ranks.
+A greatest lower bound, if it exists, is then the top set bit of the
+common down-set and a least upper bound the lowest set bit of the common
+up-set (Freese, Jezek and Nation, *Free Lattices*, 1995, on algorithms
+for finite lattices).
 """
 
 from __future__ import annotations
@@ -71,8 +80,9 @@ class ChutePoset:
     Elements sit in a canonical order (breadth-first layer from the seed,
     then the serialized grid as tie-break), so indices, DOT output, and
     witnesses are stable across runs.  Internally every element carries
-    bitmasks of its strict up- and down-sets; covers are the single-move
-    edges with nothing strictly between.
+    bitmasks of its strict up- and down-sets, with bit r standing for the
+    element of Lehmer-total rank r (canonical index ``_order[r]``); covers
+    are the single-move edges with nothing strictly between.
 
     ``moves_up[k]`` holds the moves out of element k, in the order
     ``chute.find_moves`` returns them, each paired with its target's index.
@@ -105,21 +115,25 @@ class ChutePoset:
                         "a move failed to raise the Lehmer total",
                         witness={"from": elements[k].to_json(), "to": elements[j].to_json()},
                     )
+        # bit r of every mask is the element of Lehmer-total rank r, so a
+        # mask's high bits are its high elements in a linear extension
         order = sorted(range(size), key=lambda k: (totals[k], k))
         rank = [0] * size
         for r, k in enumerate(order):
             rank[k] = r
-        self._toporank = tuple(rank)
+        self._order = tuple(order)
+        self._rank = tuple(rank)
         up = [0] * size
         for k in reversed(order):
             m = 0
             for _mv, j in self._moves_up[k]:
-                m |= (1 << j) | up[j]
+                m |= (1 << rank[j]) | up[j]
             up[k] = m
         down = [0] * size
         for k in order:
+            bit = 1 << rank[k]
             for _mv, j in self._moves_up[k]:
-                down[j] |= (1 << k) | down[k]
+                down[j] |= bit | down[k]
         self._up = tuple(up)
         self._down = tuple(down)
         covers_up = []
@@ -162,15 +176,20 @@ class ChutePoset:
         return self._covers_down[a]
 
     def _down0(self, a: int) -> int:
-        return self._down[a] | (1 << a)
+        return self._down[a] | (1 << self._rank[a])
 
     def _up0(self, a: int) -> int:
-        return self._up[a] | (1 << a)
+        return self._up[a] | (1 << self._rank[a])
+
+    def _canonical(self, mask: int) -> list[int]:
+        """Canonical indices of the elements in a mask, ascending."""
+        order = self._order
+        return sorted(order[r] for r in _bits(mask))
 
     # -- order queries ------------------------------------------------------
 
     def leq_idx(self, a: int, b: int) -> bool:
-        return a == b or bool((self._up[a] >> b) & 1)
+        return a == b or bool((self._up[a] >> self._rank[b]) & 1)
 
     def leq(self, p: PipeDream, q: PipeDream) -> bool:
         return self.leq_idx(self.idx(p), self.idx(q))
@@ -207,40 +226,41 @@ class ChutePoset:
             )
         return self.elements[sinks[0]]
 
-    def _extreme(self, common: int, a: int, b: int, lower: bool) -> int:
-        """Greatest (lower=True) or least element of the nonempty set
-        ``common``; the candidate is the last (first) set bit in any linear
-        extension, so failure of the dominance check is a genuine witness
-        that no greatest/least element exists."""
-        kind = "lower" if lower else "upper"
+    def _no_extreme(self, common: int, a: int, b: int, kind: str) -> TheoremViolation:
+        """The violation for a pair whose common bounds ``common`` have no
+        extreme element: either there are none, or the candidate (the
+        last or first bit, which is last or first in a linear extension)
+        fails to dominate them, which is a genuine witness."""
+        pair = [self.elements[a].to_json(), self.elements[b].to_json()]
         if common == 0:
-            raise TheoremViolation(
-                f"no common {kind} bound",
-                witness={"pair": [self.elements[a].to_json(), self.elements[b].to_json()]},
-            )
-        rank = self._toporank
-        if lower:
-            best = max(_bits(common), key=lambda k: rank[k])
-            covered = self._down0(best)
-        else:
-            best = min(_bits(common), key=lambda k: rank[k])
-            covered = self._up0(best)
-        stray = common & ~covered
-        if stray:
-            raise TheoremViolation(
-                f"common {kind} bounds have no extreme element",
-                witness={
-                    "pair": [self.elements[a].to_json(), self.elements[b].to_json()],
-                    "bounds": [self.elements[k].to_json() for k in _bits(common)],
-                },
-            )
-        return best
+            return TheoremViolation(f"no common {kind} bound", witness={"pair": pair})
+        return TheoremViolation(
+            f"common {kind} bounds have no extreme element",
+            witness={
+                "pair": pair,
+                "bounds": [self.elements[k].to_json() for k in self._canonical(common)],
+            },
+        )
 
     def meet_idx(self, a: int, b: int) -> int:
-        return self._extreme(self._down0(a) & self._down0(b), a, b, lower=True)
+        down, rank = self._down, self._rank
+        common = (down[a] | 1 << rank[a]) & (down[b] | 1 << rank[b])
+        if common:
+            top = common.bit_length() - 1
+            best = self._order[top]
+            if not common & ~(down[best] | 1 << top):
+                return best
+        raise self._no_extreme(common, a, b, "lower")
 
     def join_idx(self, a: int, b: int) -> int:
-        return self._extreme(self._up0(a) & self._up0(b), a, b, lower=False)
+        up, rank = self._up, self._rank
+        common = (up[a] | 1 << rank[a]) & (up[b] | 1 << rank[b])
+        if common:
+            low = common & -common
+            best = self._order[low.bit_length() - 1]
+            if not common & ~(up[best] | low):
+                return best
+        raise self._no_extreme(common, a, b, "upper")
 
     def meet(self, p: PipeDream, q: PipeDream) -> PipeDream:
         return self.elements[self.meet_idx(self.idx(p), self.idx(q))]
@@ -252,7 +272,7 @@ class ChutePoset:
         if not self.leq_idx(a, b):
             raise ValueError("interval endpoints are not comparable")
         mask = self._up0(a) & self._down0(b)
-        return Interval(self, a, b, tuple(_bits(mask)), mask)
+        return Interval(self, a, b, tuple(self._canonical(mask)), mask)
 
     def interval(self, p: PipeDream, q: PipeDream) -> "Interval":
         return self.interval_idx(self.idx(p), self.idx(q))
@@ -260,7 +280,8 @@ class ChutePoset:
 
 @dataclass(frozen=True, eq=False)
 class Interval:
-    """A closed interval, carried as canonical indices plus a bitmask."""
+    """A closed interval, carried as canonical indices in ascending order
+    plus its bitmask in the poset's rank order."""
 
     poset: ChutePoset
     bottom: int
@@ -299,6 +320,7 @@ def classify_polygon(iv: Interval) -> PolygonType:
     if iv.size < 4:
         return PolygonType.NOT_A_POLYGON
     poset = iv.poset
+    rank = poset._rank
     chains = []
     stack = [(iv.bottom, (iv.bottom,))]
     while stack:
@@ -309,7 +331,7 @@ def classify_polygon(iv: Interval) -> PolygonType:
                 return PolygonType.NOT_A_POLYGON
             continue
         for _mv, j in poset.covers_up_idx(v):
-            if (iv.mask >> j) & 1:
+            if (iv.mask >> rank[j]) & 1:
                 stack.append((j, path + (j,)))
     if len(chains) != 2:
         return PolygonType.NOT_A_POLYGON

@@ -263,7 +263,8 @@ def hook_boxes(n: int, i: int, j: int) -> list[tuple[int, int]]:
 def hook_balanced(t: StairTableau, i: int, j: int) -> bool:
     """The corner entry equals the median of the hook's entries."""
     entries = sorted(t.get(*b) for b in hook_boxes(t.n, i, j))
-    assert len(entries) % 2 == 1
+    if len(entries) % 2 != 1:
+        raise ValueError(f"hook of ({i},{j}) has {len(entries)} boxes; a median needs an odd count")
     return t.get(i, j) == entries[len(entries) // 2]
 
 

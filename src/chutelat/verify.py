@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import TheoremViolation
 from .perm import Permutation
 from .pipedream import transpose, triforce_embed
-from .poset import ChutePoset, PolygonType, cached_poset, classify_polygon
+from .poset import ChutePoset, PolygonType, _bits, cached_poset, classify_polygon
 
 __all__ = [
     "CheckResult",
@@ -100,19 +100,35 @@ def check_isomorphism(poset: ChutePoset, deadline: Deadline):
         if v in seen:
             return _pair_witness(poset, seen[v], k, "equal Lehmer forms")
         seen[v] = k
-    size = poset.size
-    for a in range(size):
+    thresholds = _threshold_masks(poset)
+    for a, va in enumerate(poset.vectors):
         deadline.poll()
-        va = poset.vectors[a]
-        for b in range(size):
-            vb = poset.vectors[b]
-            comp = all(x <= y for x, y in zip(va, vb))
-            if poset.leq_idx(a, b) != comp:
-                return _pair_witness(
-                    poset, a, b,
-                    "move order and componentwise order disagree",
-                )
+        above = poset._full
+        for k, x in enumerate(va):
+            above &= thresholds[k][x]
+        differ = above ^ poset._up0(a)
+        if differ:
+            return _pair_witness(
+                poset, a, poset._canonical(differ)[0],
+                "move order and componentwise order disagree",
+            )
     return None
+
+
+def _threshold_masks(poset: ChutePoset) -> list[list[int]]:
+    """``T[k][x]``: mask of the elements whose Lehmer vector has entry at
+    least x in coordinate k, so the componentwise up-set of a vector v is
+    the AND over k of ``T[k][v[k]]``."""
+    rank = poset._rank
+    out = []
+    for column in zip(*poset.vectors):
+        at = [0] * (max(column) + 1)
+        for g, x in enumerate(column):
+            at[x] |= 1 << rank[g]
+        for x in range(len(at) - 2, -1, -1):
+            at[x] |= at[x + 1]
+        out.append(at)
+    return out
 
 
 def check_lattice(poset: ChutePoset, deadline: Deadline):
@@ -143,26 +159,27 @@ def _buckets_have_extreme(poset, deadline, meet_side: bool):
     the definition fails while every cover bucket is clean, which would
     refute the covers-only reduction and gets its own witness."""
     size = poset.size
-    rank = poset._toporank
+    rank, order = poset._rank, poset._order
+    bound = poset.meet_idx if meet_side else poset.join_idx
     def_bad = None
     cover_bad = None
     for fixed in range(size):
         deadline.poll()
-        buckets: dict[int, list[int]] = {}
+        buckets: dict[int, int] = {}
         for g in range(size):
-            key = poset.meet_idx(g, fixed) if meet_side else poset.join_idx(g, fixed)
-            buckets.setdefault(key, []).append(g)
+            key = bound(g, fixed)
+            buckets[key] = buckets.get(key, 0) | (1 << rank[g])
         if meet_side:
             cover_keys = set(poset.covers_down_idx(fixed))
         else:
             cover_keys = {j for _mv, j in poset.covers_up_idx(fixed)}
-        for key, members in buckets.items():
+        for key, bucket in buckets.items():
+            # the bucket's candidate extreme is its last (first) element in
+            # the linear extension; it is the extreme iff it dominates all
             if meet_side:
-                ext = max(members, key=lambda g: rank[g])
-                ok = all(poset.leq_idx(g, ext) for g in members)
+                ok = not bucket & ~poset._down0(order[bucket.bit_length() - 1])
             else:
-                ext = min(members, key=lambda g: rank[g])
-                ok = all(poset.leq_idx(ext, g) for g in members)
+                ok = not bucket & ~poset._up0(order[(bucket & -bucket).bit_length() - 1])
             if not ok:
                 if def_bad is None:
                     def_bad = (key, fixed)
@@ -220,12 +237,10 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
                     return verdict_witness(bot, g0, verdict)
     for a in range(size):
         deadline.poll()
-        up = poset._up[a]
-        for b in range(size):
-            if (up >> b) & 1:
-                verdict = classify_polygon(poset.interval_idx(a, b))
-                if verdict is PolygonType.POLYGON:
-                    return verdict_witness(a, b, verdict)
+        for b in poset._canonical(poset._up[a]):
+            verdict = classify_polygon(poset.interval_idx(a, b))
+            if verdict is PolygonType.POLYGON:
+                return verdict_witness(a, b, verdict)
     return None
 
 
@@ -246,11 +261,21 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
             return {"note": "transpose left the fiber", "dream": d.to_json()}
         image.append(other.index[td])
     size = poset.size
+    # the up-set of a, carried into the other poset's bit order, must be
+    # the down-set of a's image; ``preimage`` maps a bit there back to b
+    image_bit = [1 << other._rank[image[k]] for k in poset._order]
+    preimage = [0] * size
+    for b, t in enumerate(image):
+        preimage[other._rank[t]] = b
     for a in range(size):
         deadline.poll()
-        for b in range(size):
-            if poset.leq_idx(a, b) != other.leq_idx(image[b], image[a]):
-                return _pair_witness(poset, a, b, "transpose order not reversed")
+        carried = 0
+        for r in _bits(poset._up0(a)):
+            carried |= image_bit[r]
+        differ = carried ^ other._down0(image[a])
+        if differ:
+            b = min(preimage[r] for r in _bits(differ))
+            return _pair_witness(poset, a, b, "transpose order not reversed")
     for a in range(size):
         deadline.poll()
         for b in range(a, size):
@@ -264,9 +289,7 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     for a in range(size):
         deadline.poll()
         va = poset.vectors[a]
-        for b in range(size):
-            if not poset.leq_idx(a, b):
-                continue
+        for b in poset._canonical(poset._up0(a)):
             vb = poset.vectors[b]
             diff = {k for k in range(len(va)) if va[k] != vb[k]}
             if not diff <= last_col:

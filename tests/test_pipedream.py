@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from chutelat import pipedream as pipedream_module
+from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import (
     PipeDream,
@@ -114,6 +116,38 @@ def test_hat_delete():
     h = hat_delete(d)
     assert h.n == 2
     assert trace(h).wiring == w.hat()
+
+
+def _unvalidated(rows):
+    """A dream that skips the tile checks, to reach the guards behind them."""
+    d = object.__new__(PipeDream)
+    object.__setattr__(d, "rows", tuple(rows))
+    return d
+
+
+def test_trace_elbow_from_south_is_a_violation():
+    # an interior elbow turns pipe 2 north into another elbow
+    d = _unvalidated(("EE", "E"))
+    with pytest.raises(TheoremViolation) as exc:
+        trace(d)
+    assert exc.value.witness == {"dream": {"n": 2, "rows": ["EE", "E"]}, "pipe": 2, "box": [1, 1]}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({}, "pipe 3 misses row 1"),
+    ({1: [(1, 1)], 2: [(2, 1)]}, "a reduced dream allows a single cross or a bump pair"),
+    ({1: [(1, 1), (1, 3)], 2: [(2, 1), (2, 2)]}, "cross landed on the boundary in row 1"),
+])
+def test_hat_delete_guards_are_violations(monkeypatch, rows, message):
+    # row 1 is B C E: the stub hands hat_delete pipe-3 boxes that no real
+    # trace produces, one guard per case
+    d = PipeDream.from_crosses(3, {(1, 2)})
+    monkeypatch.setattr(pipedream_module, "_pipe_row_boxes", lambda dream, pipe: rows)
+    with pytest.raises(TheoremViolation, match=message) as exc:
+        hat_delete(d)
+    assert exc.value.witness["dream"] == d.to_json()
+    assert exc.value.witness["pipe"] == 3
+    assert exc.value.witness["row"] == 1
 
 
 def test_triforce_embed_wiring():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from chutelat import tableaux as tableaux_module
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import PipeDream, theta
@@ -93,6 +94,14 @@ def test_balance_equivalence_on_fiber():
     for t in all_thetas(4):
         assert balance_equivalence_check(t)
         assert is_balanced(t)
+
+
+def test_hook_balanced_rejects_even_hook(monkeypatch):
+    # hook_boxes always returns an odd count; a broken one must not slip
+    # through as a wrong median, with or without -O
+    monkeypatch.setattr(tableaux_module, "hook_boxes", lambda n, i, j: [(i, j), (i - 1, j)])
+    with pytest.raises(ValueError, match="odd count"):
+        hook_balanced(T361542, 2, 6)
 
 
 def test_validate_rejects_row_bound():
