@@ -15,7 +15,7 @@ import sys
 from .errors import TheoremViolation
 from .perm import Permutation
 from .pipedream import PipeDream, theta, trace
-from .poset import cached_poset, chute_path, seed_dream, to_dot
+from .poset import cached_poset, chute_path, to_dot
 from .schubert import schubert_from_pipedreams, schubert_oracle
 from .verify import run_checks
 
@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--count", action="store_true", help="print the element count (default)")
     p.add_argument("--json", action="store_true", help="print the full element list as JSON")
-    p.add_argument("--seed-check", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("hasse", help="write the Hasse diagram as DOT")
     p.add_argument("perm")
@@ -73,9 +72,6 @@ def _cmd_enumerate(args) -> int:
     w = Permutation.parse(args.perm)
     if args.count and args.json:
         raise ValueError("--count and --json are mutually exclusive")
-    if args.seed_check:
-        print(json.dumps(seed_dream(w).to_json(), separators=(",", ":")))
-        return 0
     poset = cached_poset(w)
     if args.json:
         print(json.dumps([d.to_json() for d in poset.elements], separators=(",", ":")))

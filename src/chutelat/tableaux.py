@@ -31,7 +31,6 @@ __all__ = [
     "LehmerTableau",
     "ValidationResult",
     "validate_inversions_tableau",
-    "column_injective_violation",
     "is_balanced",
     "lambda_shape_balanced",
     "hook_boxes",
@@ -303,10 +302,11 @@ class ValidationResult:
 _OK = ValidationResult(True)
 
 
-def column_injective_violation(t: StairTableau, w: Permutation) -> ValidationResult:
-    """Zero-pattern and per-column distinctness; the membership test for
-    column-injective tableaux.  Scans columns left to right and rows bottom
-    to top, reporting the first offending box."""
+def _column_scan(t: StairTableau, w: Permutation, row_bound: bool) -> ValidationResult:
+    """Per box, columns left to right and rows bottom to top: the zero
+    pattern, then column distinctness, then (if ``row_bound``) the row
+    bound.  The first offending box wins.  Without the row bound this is
+    the membership test for column-injective tableaux."""
     if t.n != w.n:
         raise ValueError(f"tableau n={t.n} but w has n={w.n}")
     inv = w.inversions()
@@ -332,6 +332,11 @@ def column_injective_violation(t: StairTableau, w: Permutation) -> ValidationRes
                                 f"(rows {seen[v]} and {i})",
                     )
                 seen[v] = i
+                if row_bound and v > i:
+                    return ValidationResult(
+                        False, "row_bound", box=(i, j),
+                        message=f"entry {v} at ({i},{j}) exceeds its row index",
+                    )
     return _OK
 
 
@@ -343,36 +348,9 @@ def validate_inversions_tableau(t: StairTableau, w: Permutation) -> ValidationRe
     all boxes pass, check the three-box shapes in lexicographic (i, j, k)
     order.  The first violation wins.
     """
-    if t.n != w.n:
-        raise ValueError(f"tableau n={t.n} but w has n={w.n}")
-    inv = w.inversions()
-    for j in range(2, t.n + 1):
-        seen = {}
-        for i in range(1, j):
-            v = t.get(i, j)
-            if v == 0 and (i, j) in inv:
-                return ValidationResult(
-                    False, "zero_on_inversion", box=(i, j),
-                    message=f"({i},{j}) is an inversion of {w} but holds 0",
-                )
-            if v != 0 and (i, j) not in inv:
-                return ValidationResult(
-                    False, "nonzero_off_inversion", box=(i, j),
-                    message=f"({i},{j}) is not an inversion of {w} but holds {v}",
-                )
-            if v != 0:
-                if v in seen:
-                    return ValidationResult(
-                        False, "column_duplicate", box=(i, j),
-                        message=f"entry {v} repeats in column {j} "
-                                f"(rows {seen[v]} and {i})",
-                    )
-                seen[v] = i
-                if v > i:
-                    return ValidationResult(
-                        False, "row_bound", box=(i, j),
-                        message=f"entry {v} at ({i},{j}) exceeds its row index",
-                    )
+    res = _column_scan(t, w, row_bound=True)
+    if not res:
+        return res
     n = t.n
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -396,7 +374,7 @@ def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
     integers below a that are missing from the part of the column under its
     box.  A bijection from column-injective tableaux for w onto arbitrary
     fillings of the inversion diagram."""
-    res = column_injective_violation(t, w)
+    res = _column_scan(t, w, row_bound=False)
     if not res:
         raise ValueError(f"not column-injective for {w}: {res.message}")
     inv = w.inversions()

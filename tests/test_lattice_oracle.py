@@ -7,9 +7,12 @@ whole masks where it used to loop over pairs.  The oracle here is the
 older layout: bit k is canonical element k, a meet or join is found by
 scanning every common bound for the one of extreme rank, and the
 isomorphism, semidistributivity, polygon and transpose checks loop over
-pairs.  Both
-must give the same order, bounds, intervals and covers, and the same
-reports with the same witnesses, on healthy fibers and on a broken one.
+pairs.  The lattice and polygon oracles also keep two passes that
+``verify`` leaves out because earlier loops subsume them: the join of
+every up-fork replayed, and a classification of the interval of every
+comparable pair.  Both routes must give the same order, bounds,
+intervals and covers, and the same reports with the same witnesses, on
+healthy fibers and on broken ones.
 """
 
 import itertools
@@ -175,6 +178,21 @@ def oracle_semidistributive(poset, deadline):
     return _oracle_buckets(poset, meet_side=False)
 
 
+def oracle_lattice(poset, deadline):
+    poset.min_element()
+    poset.max_element()
+    for a in range(poset.size):
+        for b in range(a, poset.size):
+            poset.meet_idx(a, b)
+            poset.join_idx(a, b)
+    # the bounded-fork replay, which the all-pairs search above subsumes
+    for g0 in range(poset.size):
+        ups = [j for _mv, j in poset.covers_up_idx(g0)]
+        for x, y in itertools.combinations(ups, 2):
+            poset.join_idx(x, y)
+    return None
+
+
 def oracle_polygonal(poset, deadline):
     def verdict_witness(a, b, verdict):
         return {
@@ -197,6 +215,7 @@ def oracle_polygonal(poset, deadline):
             verdict = classify_polygon(poset.interval_idx(bot, g0))
             if verdict not in fine:
                 return verdict_witness(bot, g0, verdict)
+    # every comparable pair, which the fork spans above subsume
     for a in range(poset.size):
         for b in range(poset.size):
             if (poset._up[a] >> b) & 1:
@@ -253,6 +272,7 @@ def oracle_transpose(poset, deadline):
 
 ORACLE_CHECKS = {
     "isomorphism": oracle_isomorphism,
+    "lattice": oracle_lattice,
     "sd": oracle_semidistributive,
     "polygonal": oracle_polygonal,
     "transpose": oracle_transpose,
@@ -381,3 +401,37 @@ def test_dropped_move_edge_fails_alike_on_both_routes(monkeypatch):
                 if "bound" in lattice.get("message", ""):
                     meet_join_failures += 1
     assert meet_join_failures > 0
+
+
+def hexagon_361542():
+    """Six real dreams of 361542, one of Lehmer total 0, two of total 1,
+    two of total 2 and one of total 3, ordered by two three-step chains
+    from the first to the last: a lattice that is one hexagon."""
+    w = Permutation.parse("361542")
+    real = cached_poset(w)
+    by_total = {}
+    for k, v in enumerate(real.vectors):
+        by_total.setdefault(sum(v), []).append(k)
+    picks = [by_total[0][0], *by_total[1][:2], *by_total[2][:2], by_total[3][0]]
+    elements = tuple(real.elements[k] for k in picks)
+    # the checks read only the targets of move edges, not their moves
+    moves_up = (((None, 1), (None, 2)), ((None, 3),), ((None, 4),),
+                ((None, 5),), ((None, 5),), ())
+    return ChutePoset(w, elements, moves_up)
+
+
+def test_hexagon_fails_polygonal_on_both_routes(monkeypatch):
+    # the span of the up-fork at the bottom is the whole hexagon, so both
+    # routes report it from their fork loops
+    hexagon = hexagon_361542()
+    witness = {
+        "note": "interval is not a diamond or pentagon",
+        "bottom": hexagon.elements[0].to_json(),
+        "top": hexagon.elements[5].to_json(),
+        "verdict": "polygon",
+    }
+    assert verify.check_polygonal(hexagon, verify.Deadline(None)) == witness
+    got, want = reports(monkeypatch, hexagon.w, {hexagon.w: hexagon})
+    assert got == want
+    assert got["checks"][1]["status"] == "pass"
+    assert got["checks"][3] == {"name": "polygonal", "status": "fail", "witness": witness}

@@ -111,6 +111,18 @@ def test_validate_rejects_row_bound():
     assert res.condition == "row_bound"
 
 
+def test_validate_reports_row_bound_before_higher_duplicate():
+    # (1,6) breaks the row bound and (2,6) then repeats its entry: the scan
+    # runs bottom to top, so the lower box wins.  Without the row bound,
+    # lehmer_form meets the duplicate instead
+    t = T361542.with_entries({(1, 6): 2})
+    res = validate_inversions_tableau(t, T361542.w)
+    assert not res
+    assert (res.condition, res.box) == ("row_bound", (1, 6))
+    with pytest.raises(ValueError, match="entry 2 repeats in column 6"):
+        lehmer_form(t, T361542.w)
+
+
 def test_validate_rejects_support():
     t = T361542.with_entries({(1, 2): 1})  # (1,2) is not an inversion
     res = validate_inversions_tableau(t, T361542.w)
