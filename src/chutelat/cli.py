@@ -26,7 +26,10 @@ INFO_SIZE_LIMIT = 7  # fibers are enumerated on demand only up to this n
 
 def _load_dream(path: str) -> PipeDream:
     with open(path, "r", encoding="utf-8") as fh:
-        return PipeDream.from_json(json.load(fh))
+        try:
+            return PipeDream.from_json(json.load(fh))
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -195,11 +195,7 @@ class ChutePoset:
         return self.leq_idx(self.idx(p), self.idx(q))
 
     def min_element(self) -> PipeDream:
-        indeg = [0] * self.size
-        for row in self._moves_up:
-            for _mv, j in row:
-                indeg[j] += 1
-        sources = [k for k in range(self.size) if indeg[k] == 0]
+        sources = [k for k in range(self.size) if not self._down[k]]
         if len(sources) != 1:
             raise TheoremViolation(
                 f"{len(sources)} move-minimal elements",

@@ -244,9 +244,14 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
 
 def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     """Transposition is an order anti-isomorphism onto the fiber of the
-    inverse permutation, swapping meets with joins; and a pair whose Lehmer
-    forms differ only in the last column transposes to a reversed pair
-    differing only in one row."""
+    inverse permutation, and a pair whose Lehmer forms differ only in the
+    last column transposes to a reversed pair differing only in one row.
+
+    The up-set pass proves the anti-isomorphism, which maps the common lower
+    bounds of a and b onto the common upper bounds of their images, the
+    greatest onto the least; so meets go to joins, and only their existence
+    is tested.  A b drawn from the up-set of a has image[b] <= image[a].
+    """
     w = poset.w
     other = cached_poset(w.inverse())
     if other.size != poset.size:
@@ -277,9 +282,7 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     for a in range(size):
         deadline.poll()
         for b in range(a, size):
-            m = poset.meet_idx(a, b)
-            if other.join_idx(image[a], image[b]) != image[m]:
-                return _pair_witness(poset, a, b, "transpose of meet is not the join")
+            poset.meet_idx(a, b)
     n = w.n
     row0 = w.inverse()(n)
     last_col = {k for k, box in enumerate(_support(poset)) if box[1] == n}
@@ -292,11 +295,8 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
             diff = {k for k in range(len(va)) if va[k] != vb[k]}
             if not diff <= last_col:
                 continue
-            ta, tb = image[a], image[b]
-            if not other.leq_idx(tb, ta):
-                return _pair_witness(poset, a, b, "transposed pair not reversed")
-            wa = other.vectors[ta]
-            wb = other.vectors[tb]
+            wa = other.vectors[image[a]]
+            wb = other.vectors[image[b]]
             tdiff = {k for k in range(len(wa)) if wa[k] != wb[k]}
             if not tdiff <= bad_row:
                 return _pair_witness(

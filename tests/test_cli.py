@@ -162,7 +162,10 @@ def test_render(capsys, tmp_path):
     assert out == "+))\n))\n)\n"
 
 
-@pytest.mark.parametrize("blob", ["{}", "[1]", '{"n": 1, "rows": [1]}'])
+@pytest.mark.parametrize("blob", [
+    "{}", "[1]", '{"n": 1, "rows": [1]}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
+])
 def test_render_malformed_dream_exits_2(capsys, tmp_path, blob):
     path = tmp_path / "bad.json"
     path.write_text(blob)

@@ -7,12 +7,17 @@ whole masks where it used to loop over pairs.  The oracle here is the
 older layout: bit k is canonical element k, a meet or join is found by
 scanning every common bound for the one of extreme rank, and the
 isomorphism, semidistributivity, polygon and transpose checks loop over
-pairs.  The lattice and polygon oracles also keep two passes that
-``verify`` leaves out because earlier loops subsume them: the join of
-every up-fork replayed, and a classification of the interval of every
-comparable pair.  Both routes must give the same order, bounds,
-intervals and covers, and the same reports with the same witnesses, on
-healthy fibers and on broken ones.
+pairs.  The lattice, polygon and transpose oracles also keep passes
+that ``verify`` leaves out because earlier loops subsume them: the join
+of every up-fork replayed, a classification of the interval of every
+comparable pair, and in the transpose oracle the join of the images of
+every pair compared with the image of its meet, and a second test that
+each last-column pair is reversed.  The anti-isomorphism that the
+transpose order pass proves already gives both of the last two.  The
+in-degree count of move edges is kept as the oracle's ``min_element``.
+Both routes must give the same order, bounds, intervals and covers, and
+the same reports with the same witnesses, on healthy fibers and on
+broken ones.
 """
 
 import itertools
@@ -78,6 +83,24 @@ class OraclePoset(ChutePoset):
 
     def leq_idx(self, a, b):
         return a == b or bool((self._up[a] >> b) & 1)
+
+    def min_element(self):
+        indeg = [0] * self.size
+        for row in self._moves_up:
+            for _mv, j in row:
+                indeg[j] += 1
+        sources = [k for k in range(self.size) if indeg[k] == 0]
+        if len(sources) != 1:
+            raise TheoremViolation(
+                f"{len(sources)} move-minimal elements",
+                witness={"sources": [self.elements[k].to_json() for k in sources]},
+            )
+        if self._up0(sources[0]) != self._full:
+            raise TheoremViolation(
+                "unique source is not a minimum",
+                witness={"source": self.elements[sources[0]].to_json()},
+            )
+        return self.elements[sources[0]]
 
     def _extreme(self, common, a, b, lower):
         kind = "lower" if lower else "upper"
