@@ -65,9 +65,6 @@ class IntPolynomial:
     def monomial(exps, coeff: int = 1) -> "IntPolynomial":
         return IntPolynomial.from_dict({tuple(exps): coeff})
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         d = dict(self.terms)
         for exps, coeff in other.terms:

@@ -88,9 +88,6 @@ class StairTableau:
             for i in range(1, j):
                 yield (i, j)
 
-    def nonzero_boxes(self) -> frozenset[tuple[int, int]]:
-        return frozenset(b for b in self.boxes() if self.get(*b) != 0)
-
     def with_entries(self, updates: Mapping[tuple[int, int], int]):
         rows = [list(r) for r in self.rows]
         for (i, j), v in updates.items():
@@ -98,10 +95,6 @@ class StairTableau:
                 raise ValueError(f"({i},{j}) is not a box for n={self.n}")
             rows[i - 1][j - i - 1] = v
         return _rebuild(self, tuple(tuple(r) for r in rows))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Entries of column j from the bottom row up: (1,j), ..., (j-1,j)."""
-        return tuple(self.get(i, j) for i in range(1, j))
 
     def __eq__(self, other):
         if not isinstance(other, StairTableau):
@@ -183,9 +176,6 @@ class LehmerTableau:
 
     def as_vector(self) -> tuple[int, ...]:
         return tuple(self.get(i, j) for (i, j) in self.support())
-
-    def total(self) -> int:
-        return sum(self.as_vector())
 
     def to_json(self) -> dict:
         return {"n": self.n, "w": str(self.w), "rows": [list(r) for r in self.rows]}

@@ -16,6 +16,7 @@ from .errors import TheoremViolation
 from .perm import Permutation
 from .pipedream import transpose, triforce_embed
 from .poset import ChutePoset, PolygonType, _bits, cached_poset, classify_polygon
+from .tableaux import lehmer_form
 
 __all__ = [
     "CheckResult",
@@ -93,13 +94,11 @@ def _pair_witness(poset: ChutePoset, a: int, b: int, note: str) -> dict:
 
 
 def check_isomorphism(poset: ChutePoset, deadline: Deadline):
-    """Move-closure order equals componentwise order on Lehmer forms, and
-    the Lehmer form separates elements."""
-    seen = {}
-    for k, v in enumerate(poset.vectors):
-        if v in seen:
-            return _pair_witness(poset, seen[v], k, "equal Lehmer forms")
-        seen[v] = k
+    """Move-closure order equals componentwise order on Lehmer forms.
+
+    ``ChutePoset.__init__`` has made the forms distinct (theta is injective,
+    and so is ``lehmer_form``); equal forms would fail here anyway, since
+    distinct elements of an acyclic order have distinct up-sets."""
     thresholds = _threshold_masks(poset)
     for a, va in enumerate(poset.vectors):
         deadline.poll()
@@ -307,7 +306,7 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
 
 
 def _support(poset: ChutePoset):
-    return poset.phis[0].support() if poset.size else ()
+    return lehmer_form(poset.thetas[0], poset.w).support() if poset.size else ()
 
 
 def check_triforce_interval(poset: ChutePoset, deadline: Deadline):

@@ -9,6 +9,7 @@ from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import theta
 from chutelat.poset import (
+    ChutePoset,
     Interval,
     PolygonType,
     brute_force_enumerate,
@@ -199,6 +200,58 @@ def test_single_moves_all_covers_recorded():
     for n in (3, 4):
         for w in all_perms(n):
             assert single_moves_all_covers(cached_poset(w))
+
+
+def hand_built_361542(totals, targets):
+    """Real dreams of 361542, one per entry of ``totals`` with that Lehmer
+    total (distinct dreams for a repeated total), joined by move edges to
+    ``targets``; the poset reads only the targets of its moves."""
+    w = Permutation.parse("361542")
+    real = cached_poset(w)
+    by_total = {}
+    for k, v in enumerate(real.vectors):
+        by_total.setdefault(sum(v), []).append(k)
+    seen = Counter()
+    picks = []
+    for t in totals:
+        picks.append(by_total[t][seen[t]])
+        seen[t] += 1
+    moves_up = tuple(tuple((None, j) for j in row) for row in targets)
+    return ChutePoset(w, tuple(real.elements[k] for k in picks), moves_up)
+
+
+def test_single_moves_all_covers_false_on_a_skipping_move():
+    # the chain 0 -> 1 -> 2 plus the move 0 -> 2 that skips the middle
+    skipping = hand_built_361542((0, 1, 2), ((1, 2), (2,), ()))
+    assert skipping.covers_up_idx(0) == ((None, 1),)
+    assert not single_moves_all_covers(skipping)
+    # two three-step chains from bottom to top: every move is a cover
+    hexagon = hand_built_361542((0, 1, 1, 2, 2, 3), ((1, 2), (3,), (4,), (5,), (5,), ()))
+    assert single_moves_all_covers(hexagon)
+
+
+def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
+    # the guard that keeps Lehmer forms distinct, which check_isomorphism
+    # relies on: two elements may not share a crossing-row tableau
+    w = Permutation.parse("1432")
+    real = cached_poset(w)
+    monkeypatch.setattr(poset_module, "theta", lambda d: real.thetas[0])
+    with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
+        ChutePoset(w, real.elements[:2], ((), ()))
+    assert exc.value.witness == {"w": "1432"}
+
+
+def test_dream_level_queries_match_index_queries():
+    p = cached_poset(Permutation.parse("361542"))
+    for a, b in itertools.product(range(p.size), repeat=2):
+        da, db = p.elements[a], p.elements[b]
+        assert p.meet(da, db) == p.elements[p.meet_idx(a, b)]
+        assert p.join(da, db) == p.elements[p.join_idx(a, b)]
+        if p.leq_idx(a, b):
+            assert p.interval(da, db).members == p.interval_idx(a, b).members
+        else:
+            with pytest.raises(ValueError, match="not comparable"):
+                p.interval(da, db)
 
 
 def test_theta_inverse_round_trip():
