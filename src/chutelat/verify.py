@@ -130,20 +130,119 @@ def _threshold_masks(poset: ChutePoset) -> list[list[int]]:
     return out
 
 
-def check_lattice(poset: ChutePoset, deadline: Deadline):
-    """Unique bottom and top, and every pair has a meet and a join.
-    Existence failures surface through the meet/join search.  This covers
-    the bounded-fork criterion too: the two upper covers of an up-fork are
-    one of the pairs searched, and a join does not depend on the order of
-    its arguments."""
-    poset.min_element()
-    poset.max_element()
+def _all_pairs_bound(poset: ChutePoset, deadline: Deadline, joins: bool) -> None:
+    """Definitional sweep: the meet (and with ``joins`` the join) of every
+    pair a <= b in canonical order.  The first one missing raises its
+    ``TheoremViolation``, which is the witness; this is the fallback of
+    ``lattice`` and of ``transpose``'s meet test."""
     size = poset.size
     for a in range(size):
         deadline.poll()
         for b in range(a, size):
             poset.meet_idx(a, b)
-            poset.join_idx(a, b)
+            if joins:
+                poset.join_idx(a, b)
+
+
+def _unbounded_pair(poset: ChutePoset):
+    """Two move-minimal or two move-maximal elements, or None.  Moves are
+    acyclic (``ChutePoset.__init__`` checks that each raises the Lehmer
+    total), so one source and one sink are a bottom and a top."""
+    for strict in (poset._down, poset._up):
+        ends = [k for k, mask in enumerate(strict) if not mask]
+        if len(ends) != 1:
+            return tuple(ends[:2])
+    return None
+
+
+def _fork_failure(poset: ChutePoset, deadline: Deadline, up: bool):
+    """The first up-fork without a join (with ``up``) or down-fork without
+    a meet: the pair of upper (lower) covers of one element.  None when
+    every fork has its bound."""
+    bound = poset.join_idx if up else poset.meet_idx
+    for g in range(poset.size):
+        deadline.poll()
+        if up:
+            covers = [j for _mv, j in poset.covers_up_idx(g)]
+        else:
+            covers = poset.covers_down_idx(g)
+        for x in range(len(covers)):
+            for y in range(x + 1, len(covers)):
+                try:
+                    bound(covers[x], covers[y])
+                except TheoremViolation:
+                    return covers[x], covers[y]
+    return None
+
+
+# A certificate returns None when it proves its claim.  Otherwise the
+# definitional sweep runs unchanged, so a failure keeps the witness it has
+# always had, and the certificate returns what to report should the sweep
+# pass anyway: that its theorem has been refuted on this poset.
+
+
+def _lattice_certificate(poset: ChutePoset, deadline: Deadline):
+    """A finite bounded poset in which every two upper covers of one
+    element have a join is a lattice (Bjorner, Edelman and Ziegler,
+    "Hyperplane arrangements with a lattice of regions", *Discrete Comput.
+    Geom.* 5 (1990), Lemma 2.1).  So a unique bottom and top and one join
+    per up-fork decide what the all-pairs sweep decides.  Every pair the
+    certificate can stop at (two minimal or two maximal elements, or a
+    fork) fails the sweep too, so a passing sweep refutes the lemma."""
+    bad = _unbounded_pair(poset)
+    if bad is None:
+        bad = _fork_failure(poset, deadline, up=True)
+    if bad is None:
+        return None
+    return _pair_witness(poset, *bad, "bounded-fork criterion disagrees with all-pairs search")
+
+
+def check_lattice(poset: ChutePoset, deadline: Deadline):
+    """Unique bottom and top, and every pair has a meet and a join.  The
+    bounded-fork certificate decides; when it fails, the bound checks and
+    the all-pairs sweep run as the definition and give the witness."""
+    refuted = _lattice_certificate(poset, deadline)
+    if refuted is None:
+        return None
+    poset.min_element()
+    poset.max_element()
+    _all_pairs_bound(poset, deadline, joins=True)
+    return refuted
+
+
+def _kappa_certificate(poset: ChutePoset, deadline: Deadline, meet_side: bool):
+    """Semidistributivity on one side of a lattice, by kappa.
+
+    Let j be join-irreducible with lower cover j_*.  Then x ^ j = j_*
+    exactly when x >= j_* and x is not >= j, so that set is
+    K(j) = ``_up0(j_*) & ~_up0(j)``, which holds j_*.  A finite lattice is
+    meet-semidistributive iff every K(j) has a greatest element, kappa(j)
+    (Freese, Jezek and Nation, *Free Lattices*, 1995, Thm 2.56; Reading,
+    Speyer and Thomas, arXiv:1907.08050).  Its candidate is the top bit of
+    K(j), last in the linear extension.  The join side is dual, on
+    meet-irreducibles m with upper cover m^*: K(m) is
+    ``_down0(m^*) & ~_down0(m)`` and its low bit must be least.  The
+    theorem needs a lattice, so ``_lattice_certificate`` runs first."""
+    order = poset._order
+    for j in range(poset.size):
+        if meet_side:
+            covers = poset.covers_down_idx(j)
+        else:
+            covers = [c for _mv, c in poset.covers_up_idx(j)]
+        if len(covers) != 1:
+            continue
+        deadline.poll()
+        c = covers[0]
+        if meet_side:
+            kset = poset._up0(c) & ~poset._up0(j)
+            ok = not kset & ~poset._down0(order[kset.bit_length() - 1])
+        else:
+            kset = poset._down0(c) & ~poset._down0(j)
+            ok = not kset & ~poset._up0(order[(kset & -kset).bit_length() - 1])
+        if not ok:
+            side = "meet" if meet_side else "join"
+            return _pair_witness(
+                poset, j, c, f"{side}-side kappa criterion disagrees with definition")
     return None
 
 
@@ -195,10 +294,22 @@ def _buckets_have_extreme(poset, deadline, meet_side: bool):
 
 
 def check_semidistributive(poset: ChutePoset, deadline: Deadline):
-    bad = _buckets_have_extreme(poset, deadline, meet_side=True)
-    if bad is not None:
-        return bad
-    return _buckets_have_extreme(poset, deadline, meet_side=False)
+    """Meet- and join-semidistributive.  The lattice certificate and then
+    the kappa certificate of each side decide; a non-lattice never reaches
+    kappa.  When one fails, the definitional bucket sweep gives the
+    witness, or raises the first missing meet or join."""
+    refuted = (
+        _lattice_certificate(poset, deadline)
+        or _kappa_certificate(poset, deadline, meet_side=True)
+        or _kappa_certificate(poset, deadline, meet_side=False)
+    )
+    if refuted is None:
+        return None
+    return (
+        _buckets_have_extreme(poset, deadline, meet_side=True)
+        or _buckets_have_extreme(poset, deadline, meet_side=False)
+        or refuted
+    )
 
 
 def check_polygonal(poset: ChutePoset, deadline: Deadline):
@@ -241,30 +352,28 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
     return None
 
 
-def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
-    """Transposition is an order anti-isomorphism onto the fiber of the
-    inverse permutation, and a pair whose Lehmer forms differ only in the
-    last column transposes to a reversed pair differing only in one row.
+def _cover_certificate(poset: ChutePoset, other: ChutePoset, image: list, deadline: Deadline):
+    """A bijection that maps the cover edges of one finite poset exactly
+    onto the reversed cover edges of another is an order anti-isomorphism,
+    since each order is the reflexive-transitive closure of its covers.
+    ``image`` is a bijection (transposition is injective and the sizes are
+    equal), so it suffices that, for every a, the images of a's upper
+    covers are the lower covers of a's image."""
+    for a in range(poset.size):
+        deadline.poll()
+        ups = {image[j] for _mv, j in poset.covers_up_idx(a)}
+        differ = ups ^ set(other.covers_down_idx(image[a]))
+        if differ:
+            b = min(k for k, t in enumerate(image) if t in differ)
+            return _pair_witness(poset, a, b, "cover-edge criterion disagrees with the order pass")
+    return None
 
-    The up-set pass proves the anti-isomorphism, which maps the common lower
-    bounds of a and b onto the common upper bounds of their images, the
-    greatest onto the least; so meets go to joins, and only their existence
-    is tested.  A b drawn from the up-set of a has image[b] <= image[a].
-    """
-    w = poset.w
-    other = cached_poset(w.inverse())
-    if other.size != poset.size:
-        return {"note": "fibers of w and its inverse differ in size",
-                "sizes": [poset.size, other.size]}
-    image = []
-    for d in poset.elements:
-        td = transpose(d)
-        if td not in other.index:
-            return {"note": "transpose left the fiber", "dream": d.to_json()}
-        image.append(other.index[td])
+
+def _reversal_sweep(poset: ChutePoset, other: ChutePoset, image: list, deadline: Deadline):
+    """Definitional order pass: the up-set of every a, carried into the
+    other poset's bit order, must be the down-set of a's image."""
     size = poset.size
-    # the up-set of a, carried into the other poset's bit order, must be
-    # the down-set of a's image; ``preimage`` maps a bit there back to b
+    # ``preimage`` maps a bit of the other poset back to b
     image_bit = [1 << other._rank[image[k]] for k in poset._order]
     preimage = [0] * size
     for b, t in enumerate(image):
@@ -278,23 +387,62 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
         if differ:
             b = min(preimage[r] for r in _bits(differ))
             return _pair_witness(poset, a, b, "transpose order not reversed")
-    for a in range(size):
-        deadline.poll()
-        for b in range(a, size):
-            poset.meet_idx(a, b)
+    return None
+
+
+def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
+    """Transposition is an order anti-isomorphism onto the fiber of the
+    inverse permutation, and a pair whose Lehmer forms differ only in the
+    last column transposes to a reversed pair differing only in one row.
+
+    The anti-isomorphism is certified on cover edges (``_cover_certificate``)
+    and, if that fails, decided by the definitional order pass.  It maps
+    the common lower bounds of a and b onto the common upper bounds of their
+    images, the greatest onto the least; so meets go to joins, and only
+    their existence is tested.  That is the dual of the bounded-fork
+    certificate: a bounded poset whose down-forks all have meets is a
+    lattice.  When the certificate fails, or cannot apply because the
+    poset is unbounded, the all-pairs meet sweep decides and gives the
+    witness.  A pair differing only in the last column has equal Lehmer
+    vectors off it, so only such groups are searched, in the pairwise
+    order; a b above a already has image[b] <= image[a].
+    """
+    w = poset.w
+    other = cached_poset(w.inverse())
+    if other.size != poset.size:
+        return {"note": "fibers of w and its inverse differ in size",
+                "sizes": [poset.size, other.size]}
+    image = []
+    for d in poset.elements:
+        td = transpose(d)
+        if td not in other.index:
+            return {"note": "transpose left the fiber", "dream": d.to_json()}
+        image.append(other.index[td])
+    refuted = _cover_certificate(poset, other, image, deadline)
+    if refuted is not None:
+        return _reversal_sweep(poset, other, image, deadline) or refuted
+    if _unbounded_pair(poset) is not None:
+        _all_pairs_bound(poset, deadline, joins=False)
+    else:
+        fork = _fork_failure(poset, deadline, up=False)
+        if fork is not None:
+            _all_pairs_bound(poset, deadline, joins=False)
+            return _pair_witness(
+                poset, *fork, "bounded down-fork criterion disagrees with the meet sweep")
     n = w.n
     row0 = w.inverse()(n)
     last_col = {k for k, box in enumerate(_support(poset)) if box[1] == n}
     bad_row = {k for k, box in enumerate(_support(other)) if box[0] == row0}
-    for a in range(size):
+    keys = [tuple(x for k, x in enumerate(v) if k not in last_col) for v in poset.vectors]
+    groups: dict[tuple, list[int]] = {}
+    for a, key in enumerate(keys):
+        groups.setdefault(key, []).append(a)
+    for a in range(poset.size):
         deadline.poll()
-        va = poset.vectors[a]
-        for b in poset._canonical(poset._up0(a)):
-            vb = poset.vectors[b]
-            diff = {k for k in range(len(va)) if va[k] != vb[k]}
-            if not diff <= last_col:
+        wa = other.vectors[image[a]]
+        for b in groups[keys[a]]:
+            if not poset.leq_idx(a, b):
                 continue
-            wa = other.vectors[image[a]]
             wb = other.vectors[image[b]]
             tdiff = {k for k in range(len(wa)) if wa[k] != wb[k]}
             if not tdiff <= bad_row:

@@ -18,6 +18,13 @@ in-degree count of move edges is kept as the oracle's ``min_element``.
 Both routes must give the same order, bounds, intervals and covers, and
 the same reports with the same witnesses, on healthy fibers and on
 broken ones.
+
+``verify`` decides ``lattice``, ``sd`` and ``transpose`` by certificates
+(bounded forks, kappa, cover edges) and runs its sweeps only when one
+fails.  Hand-built non-lattices and non-semidistributive lattices on real
+dreams of 361542 drive each fallback and must still give the oracle's
+witness; with the fallbacks made to raise, the certificates alone must
+pass every fiber of S_5.
 """
 
 import itertools
@@ -315,10 +322,11 @@ def oracle_of(fast: ChutePoset) -> OraclePoset:
     return _oracles[fast]
 
 
-def reports(monkeypatch, w, posets=None):
+def reports(monkeypatch, w, posets=None, names=None):
     """The ms-stripped verify report of w on the fast route and on the
-    oracle route.  ``posets`` overrides the fiber of any permutation, so a
-    hand-made poset can stand in for the enumerated one."""
+    oracle route, of the checks ``names`` (all by default).  ``posets``
+    overrides the fiber of any permutation, so a hand-made poset can stand
+    in for the enumerated one."""
     posets = posets or {}
 
     def fast_fiber(v):
@@ -333,7 +341,7 @@ def reports(monkeypatch, w, posets=None):
                     m.setitem(verify._CHECKERS, name, fn)
             else:
                 m.setattr(verify, "cached_poset", fast_fiber)
-            rep = verify.run_checks(w).to_json()
+            rep = verify.run_checks(w, names).to_json()
         for c in rep["checks"]:
             del c["ms"]
         out.append(rep)
@@ -426,21 +434,85 @@ def test_dropped_move_edge_fails_alike_on_both_routes(monkeypatch):
     assert meet_join_failures > 0
 
 
+def _real_361542():
+    return cached_poset(Permutation.parse("361542"))
+
+
+def _picks(*totals):
+    """Canonical indices of distinct real dreams of 361542, one of each
+    given Lehmer total, the earliest unused dream of that total first."""
+    real = _real_361542()
+    by_total = {}
+    for k, v in enumerate(real.vectors):
+        by_total.setdefault(sum(v), []).append(k)
+    used = {}
+    out = []
+    for t in totals:
+        out.append(by_total[t][used.get(t, 0)])
+        used[t] = used.get(t, 0) + 1
+    return out
+
+
+def _mirror(k):
+    """The canonical index of the transpose of dream k of 361542, which is
+    an involution, so its fiber is closed under transposition."""
+    real = _real_361542()
+    return real.index[transpose(real.elements[k])]
+
+
+def hand_built_361542(picks, targets):
+    """The real dreams ``picks`` of 361542, element i moving to the
+    elements ``targets[i]``.  The checks read only the targets of move
+    edges, not their moves."""
+    real = _real_361542()
+    moves_up = tuple(tuple((None, j) for j in row) for row in targets)
+    return ChutePoset(real.w, tuple(real.elements[k] for k in picks), moves_up)
+
+
 def hexagon_361542():
     """Six real dreams of 361542, one of Lehmer total 0, two of total 1,
     two of total 2 and one of total 3, ordered by two three-step chains
     from the first to the last: a lattice that is one hexagon."""
-    w = Permutation.parse("361542")
-    real = cached_poset(w)
-    by_total = {}
-    for k, v in enumerate(real.vectors):
-        by_total.setdefault(sum(v), []).append(k)
-    picks = [by_total[0][0], *by_total[1][:2], *by_total[2][:2], by_total[3][0]]
-    elements = tuple(real.elements[k] for k in picks)
-    # the checks read only the targets of move edges, not their moves
-    moves_up = (((None, 1), (None, 2)), ((None, 3),), ((None, 4),),
-                ((None, 5),), ((None, 5),), ())
-    return ChutePoset(w, elements, moves_up)
+    return hand_built_361542(_picks(0, 1, 1, 2, 2, 3), ((1, 2), (3,), (4,), (5,), (5,), ()))
+
+
+def m3_361542():
+    """M3: a bottom of Lehmer total 1, three atoms of total 2 and a top of
+    total 3.  A lattice, neither meet- nor join-semidistributive."""
+    return hand_built_361542(_picks(1, 2, 2, 2, 3), ((1, 2, 3), (4,), (4,), (4,), ()))
+
+
+def join_only_361542():
+    """A seven-element lattice: a bottom 0 of Lehmer total 1, atoms 1 and
+    2, then 3 above 2, 4 above 1 and 5 above both atoms, and a top 6.  It
+    is meet- but not join-semidistributive: 3 v 5 = 4 v 5 = 6, yet
+    (3 ^ 4) v 5 = 5, and the meet-irreducible 5 has no kappa."""
+    return hand_built_361542(
+        _picks(1, 2, 2, 3, 3, 3, 4),
+        ((1, 2), (4, 5), (3, 5), (6,), (6,), (6,), ()),
+    )
+
+
+def bowtie_361542():
+    """A bounded bowtie: a bottom of Lehmer total 1, two atoms of total 2,
+    the atoms' transposes as two coatoms of total 4, and the bottom's
+    transpose as the top.  Each atom lies below both coatoms, so the
+    coatoms have no meet and the atoms no join.  Transposition reverses
+    this order, so the transpose check gets past its order test."""
+    bottom = _picks(1)[0]
+    atoms = [k for k in _picks(2, 2, 2, 2) if sum(_real_361542().vectors[_mirror(k)]) == 4][:2]
+    return hand_built_361542(
+        [bottom, *atoms, *map(_mirror, atoms), _mirror(bottom)],
+        ((1, 2), (3, 4), (3, 4), (5,), (5,), ()),
+    )
+
+
+def two_chains_361542():
+    """Two disjoint two-element chains, each from a dream of Lehmer total
+    1 to the transpose of the other's: unbounded, with no fork at all, and
+    reversed by transposition."""
+    x, y = _picks(1, 1)
+    return hand_built_361542([x, y, _mirror(y), _mirror(x)], ((2,), (3,), (), ()))
 
 
 def test_hexagon_fails_polygonal_on_both_routes(monkeypatch):
@@ -458,3 +530,136 @@ def test_hexagon_fails_polygonal_on_both_routes(monkeypatch):
     assert got == want
     assert got["checks"][1]["status"] == "pass"
     assert got["checks"][3] == {"name": "polygonal", "status": "fail", "witness": witness}
+
+
+@pytest.mark.parametrize("build, side, irreducible", [
+    (m3_361542, "meet", (1, 0)),
+    (join_only_361542, "join", (5, 6)),
+])
+def test_non_semidistributive_lattice_fails_sd_on_both_routes(monkeypatch, build, side, irreducible):
+    # a lattice reaches the kappa test, which stops at the first
+    # irreducible without kappa; the bucket sweep then gives the witness
+    lattice = build()
+    deadline = verify.Deadline(None)
+    assert verify._lattice_certificate(lattice, deadline) is None
+    kappa = {s: verify._kappa_certificate(lattice, deadline, meet_side=s == "meet")
+             for s in ("meet", "join")}
+    assert kappa[side] == verify._pair_witness(
+        lattice, *irreducible, f"{side}-side kappa criterion disagrees with definition")
+    if side == "join":
+        assert kappa["meet"] is None
+    got, want = reports(monkeypatch, lattice.w, {lattice.w: lattice})
+    assert got == want
+    assert got["checks"][1]["status"] == "pass"
+    sd = got["checks"][2]
+    assert sd["status"] == "fail"
+    assert sd["witness"]["note"] == f"{side}-semidistributivity fails on this bucket"
+
+
+def _missing_bound(poset, a, b, kind, bounds):
+    return {
+        "message": f"common {kind} bounds have no extreme element",
+        "witness": {
+            "pair": [poset.elements[a].to_json(), poset.elements[b].to_json()],
+            "bounds": [poset.elements[k].to_json() for k in bounds],
+        },
+    }
+
+
+def _no_bound(poset, a, b, kind):
+    return {
+        "message": f"no common {kind} bound",
+        "witness": {"pair": [poset.elements[a].to_json(), poset.elements[b].to_json()]},
+    }
+
+
+def test_non_lattices_fail_each_check_alone_on_both_routes(monkeypatch):
+    # kappa passes on both sides of the bowtie and of the two chains, and
+    # the two chains have no down-fork, so only the bounds and the lattice
+    # certificate keep sd and transpose from passing.  A missing bottom
+    # is lattice's witness alone: sd and transpose report the missing meet
+    bowtie = bowtie_361542()
+    chains = two_chains_361542()
+    deadline = verify.Deadline(None)
+    for poset in (bowtie, chains):
+        for meet_side in (True, False):
+            assert verify._kappa_certificate(poset, deadline, meet_side) is None
+    assert verify._fork_failure(bowtie, deadline, up=False) == (3, 4)
+    assert verify._fork_failure(chains, deadline, up=False) is None
+    sources = {"message": "2 move-minimal elements",
+               "witness": {"sources": [chains.elements[k].to_json() for k in (0, 1)]}}
+    expected = [
+        (bowtie, "lattice", _missing_bound(bowtie, 1, 2, "upper", (3, 4, 5))),
+        (bowtie, "sd", _missing_bound(bowtie, 4, 3, "lower", (0, 1, 2))),
+        (bowtie, "transpose", _missing_bound(bowtie, 3, 4, "lower", (0, 1, 2))),
+        (chains, "lattice", sources),
+        (chains, "sd", _no_bound(chains, 1, 0, "lower")),
+        (chains, "transpose", _no_bound(chains, 0, 1, "lower")),
+    ]
+    for poset, name, witness in expected:
+        got, want = reports(monkeypatch, poset.w, {poset.w: poset}, (name,))
+        assert got == want, name
+        assert got["checks"] == [{"name": name, "status": "fail", "witness": witness}]
+
+
+def test_certificates_decide_every_s5_fiber_alone(monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("a fallback sweep ran on a healthy fiber")
+
+    for name in ("_all_pairs_bound", "_buckets_have_extreme", "_reversal_sweep"):
+        monkeypatch.setattr(verify, name, sweep)
+    for word in itertools.permutations(range(1, 6)):
+        report = verify.run_checks(Permutation(word))
+        assert [c.status for c in report.checks] == ["pass"] * 5 + ["skipped"], word
+
+
+def test_failed_certificate_with_passing_sweep_reports_refutation(monkeypatch):
+    # 13524 is healthy and not an involution, so its transpose check reads
+    # the separate fiber of 14253
+    w = Permutation.parse("13524")
+    poset = cached_poset(w)
+
+    def run(*names):
+        return [c.witness for c in verify.run_checks(w, names).checks]
+
+    def pair(a, b, note):
+        return verify._pair_witness(poset, a, b, note)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_fork_failure", lambda p, d, up: (0, 1))
+        assert run("lattice", "sd", "transpose") == [
+            pair(0, 1, "bounded-fork criterion disagrees with all-pairs search"),
+            pair(0, 1, "bounded-fork criterion disagrees with all-pairs search"),
+            pair(0, 1, "bounded down-fork criterion disagrees with the meet sweep"),
+        ]
+    stub = pair(2, 0, "join-side kappa criterion disagrees with definition")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_kappa_certificate", lambda p, d, meet_side: None if meet_side else stub)
+        assert run("sd") == [stub]
+    # cover edges of the inverse fiber that contradict its order
+    a = next(k for k in range(poset.size) if poset.covers_up_idx(k))
+    b = min(j for _mv, j in poset.covers_up_idx(a))
+    with monkeypatch.context() as m:
+        m.setattr(cached_poset(w.inverse()), "covers_down_idx", lambda k: ())
+        assert run("transpose") == [
+            pair(a, b, "cover-edge criterion disagrees with the order pass")]
+
+
+def test_last_column_pairs_fail_alike_on_both_routes(monkeypatch):
+    # with the forced row of the inverse fiber emptied, a last-column pair
+    # fails as soon as its transposes differ at all, which happens on most
+    # fibers of S_6; both routes must stop at the same first pair
+    support = verify._support
+    failures = 0
+    for word in itertools.permutations(range(1, 7)):
+        w = Permutation(word)
+
+        def no_forced_row(poset, w=w):
+            boxes = support(poset)
+            return boxes if poset.w == w else ((0, 0),) * len(boxes)
+
+        monkeypatch.setattr(verify, "_support", no_forced_row)
+        got, want = reports(monkeypatch, w, names=("transpose",))
+        assert got == want, w
+        failures += got["checks"][0]["status"] == "fail"
+    assert failures > 0
