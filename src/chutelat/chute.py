@@ -87,6 +87,11 @@ class ChuteMove:
         return ChuteMove(t, b, l, r, i, j)
 
 
+def move_order(move: ChuteMove) -> tuple[int, int, int, int]:
+    """Sort key of every move list here: (top, left, bottom, right)."""
+    return (move.top, move.left, move.bottom, move.right)
+
+
 def _reads(dream: PipeDream, row: int, l: int, r: int, west: str, east: str) -> bool:
     """Whether row ``row`` reads ``west``, then crosses, then a tile from
     ``east`` across columns l..r; a span leaving the staircase never does."""
@@ -131,7 +136,7 @@ def find_moves(dream: PipeDream) -> list[ChuteMove]:
             if _reads(dream, b, l, r, BUMP, BUMP + ELBOW):
                 h, v = cross_pipes[(t, r)]
                 out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
-    out.sort(key=lambda m: (m.top, m.left, m.bottom, m.right))
+    out.sort(key=move_order)
     return out
 
 
@@ -154,7 +159,7 @@ def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
             if t and _reads(dream, t, l, r, BUMP, BUMP):
                 h, v = cross_pipes[(b, l)]
                 out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
-    out.sort(key=lambda m: (m.top, m.left, m.bottom, m.right))
+    out.sort(key=move_order)
     return out
 
 

@@ -8,6 +8,7 @@ permutation round-trips through ``str`` and ``Permutation.parse``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = ["Permutation"]
 
@@ -79,11 +80,15 @@ class Permutation:
         """Position of ``value`` in the word, i.e. inverse(value)."""
         return self.word.index(value) + 1
 
+    # Every tableau of a fiber asks for the same diagram; a small bound
+    # keeps an S_n sweep from holding every permutation it visits.
+    @lru_cache(maxsize=64)
     def inversions(self) -> frozenset[tuple[int, int]]:
         """Value pairs (i, j), i < j, where i appears to the right of j.
 
         These index the boxes of the inversion diagram: (i, j) with i < j is
-        an inversion exactly when position_of(i) > position_of(j).
+        an inversion exactly when position_of(i) > position_of(j).  Cached
+        per permutation; the result is immutable, so sharing it is safe.
         """
         pos = self.inverse().word
         n = self.n

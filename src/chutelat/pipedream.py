@@ -167,6 +167,7 @@ def trace(dream: PipeDream) -> Routing:
     east, so each trace terminates after at most one visit per box edge.
     """
     n = dream.n
+    rows = dream.rows
     exit_pipe = [0] * (n + 1)
     horiz: dict[tuple[int, int], int] = {}
     vert: dict[tuple[int, int], int] = {}
@@ -176,7 +177,10 @@ def trace(dream: PipeDream) -> Routing:
         path = []
         while True:
             path.append((r, c))
-            t = dream.tile(r, c)
+            # (r, c) stays in the staircase: a pipe turns east only out of
+            # a cross or bump, never out of a boundary elbow, and stops at
+            # r == 0
+            t = rows[r - 1][c - 1]
             if from_west:
                 goes_east = t == CROSS
                 if t == CROSS:

@@ -1,8 +1,9 @@
 """Chute-move posets: enumeration, lattice queries, polygons, chute paths.
 
 The partial order is the reflexive-transitive closure of single chute
-moves.  A poset is built by undirected breadth-first search from a seed
-dream, after which every query (covers, meets, joins, intervals) runs on
+moves.  A poset is built by a downward breadth-first search from the seed
+dream, the top of the fiber, by inverse moves alone (Bergeron and Billey,
+1993); after that every query (covers, meets, joins, intervals) runs on
 dense bitmask closures.  Nothing here assumes the structural theorems:
 meets and joins are searched for and their uniqueness is checked, with a
 TheoremViolation carrying a witness whenever a check fails.
@@ -77,12 +78,13 @@ def seed_dream(w: Permutation) -> PipeDream:
 class ChutePoset:
     """All reduced pipe dreams of one wiring, ordered by chute moves.
 
-    Elements sit in a canonical order (breadth-first layer from the seed,
-    then the serialized grid as tie-break), so indices, DOT output, and
-    witnesses are stable across runs.  Internally every element carries
-    bitmasks of its strict up- and down-sets, with bit r standing for the
-    element of Lehmer-total rank r (canonical index ``_order[r]``); covers
-    are the single-move edges with nothing strictly between.
+    Elements sit in a canonical order (undirected distance from the seed
+    over move edges, then the serialized grid as tie-break), so indices,
+    DOT output, and witnesses are stable across runs.  Internally every
+    element carries bitmasks of its strict up- and down-sets, with bit r
+    standing for the element of Lehmer-total rank r (canonical index
+    ``_order[r]``); covers are the single-move edges with nothing strictly
+    between.
 
     ``moves_up[k]`` holds the moves out of element k, in the order
     ``chute.find_moves`` returns them, each paired with its target's index.
@@ -338,39 +340,68 @@ def classify_polygon(iv: Interval) -> PolygonType:
 # enumeration
 
 
+def _undirected_depth(up: list[list]) -> list[int]:
+    """Distance from element 0 over the move edges, each taken both ways;
+    ``up[j]`` lists element j's moves with their targets' ids."""
+    neighbours: list[list[int]] = [[] for _ in up]
+    for j, row in enumerate(up):
+        for _mv, k in row:
+            neighbours[j].append(k)
+            neighbours[k].append(j)
+    depth = [-1] * len(up)
+    depth[0] = 0
+    queue = [0]
+    for k in queue:
+        for j in neighbours[k]:
+            if depth[j] < 0:
+                depth[j] = depth[k] + 1
+                queue.append(j)
+    return depth
+
+
 def enumerate_poset(w: Permutation) -> ChutePoset:
-    """Undirected breadth-first closure of the seed dream under moves and
-    inverse moves, searching each element once.  The up-moves found on the
-    way are the poset's move edges, kept against discovery ids so that each
-    dream is stored once.  The seed's wiring is re-checked at runtime; a
-    mismatch means the seed construction itself is broken, so it aborts
-    loudly."""
+    """Downward breadth-first search from the seed dream by inverse moves
+    alone, searching each element once.
+
+    The seed is the top of PD(w), and inverse chute moves from it reach
+    every reduced pipe dream of w (Bergeron and Billey, "RC-graphs and
+    Schubert polynomials", *Exp. Math.* 2 (1993)).  An inverse move from d
+    to e is the move edge e -> d, so it is recorded in e's row, and each
+    row is sorted by (top, left, bottom, right), the order
+    ``chute.find_moves`` returns.  The canonical depth of an element is its
+    undirected distance from the seed over these edges, the layer an
+    undirected search by moves and inverse moves would put it in.
+
+    The seed's wiring and its having no up-move are re-checked at runtime;
+    either failing means the seed construction itself is broken, so it
+    aborts loudly."""
     seed = seed_dream(w)
     if trace(seed).wiring != w:
         raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
+    if chute.find_moves(seed):
+        raise RuntimeError(f"seed dream of {w} has an up-move, so it is not the top")
     ids = {seed: 0}
     dreams = [seed]
-    depth = [0]
-    up = []
-
-    def visit(e: PipeDream, k: int) -> int:
-        j = ids.get(e)
-        if j is None:
-            j = ids[e] = len(dreams)
-            dreams.append(e)
-            depth.append(depth[k] + 1)
-        return j
-
+    up: list[list] = [[]]
     # dreams grows while it is walked, which makes it the BFS queue
     for k, d in enumerate(dreams):
-        up.append([(mv, visit(chute.apply(d, mv), k)) for mv in chute.find_moves(d)])
         for mv in chute.find_inverse_moves(d):
-            visit(chute.inverse_apply(d, mv), k)
+            e = chute.inverse_apply(d, mv)
+            j = ids.get(e)
+            if j is None:
+                j = ids[e] = len(dreams)
+                dreams.append(e)
+                up.append([])
+            up[j].append((mv, k))
+    depth = _undirected_depth(up)
     order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
     canon = [0] * len(order)
     for pos, k in enumerate(order):
         canon[k] = pos
-    moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
+    moves_up = tuple(
+        tuple((mv, canon[j]) for mv, j in sorted(up[k], key=lambda e: chute.move_order(e[0])))
+        for k in order
+    )
     return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
 
 

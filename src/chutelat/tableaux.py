@@ -300,10 +300,11 @@ def _column_scan(t: StairTableau, w: Permutation, row_bound: bool) -> Validation
     if t.n != w.n:
         raise ValueError(f"tableau n={t.n} but w has n={w.n}")
     inv = w.inversions()
+    rows = t.rows
     for j in range(2, t.n + 1):
         seen = {}
         for i in range(1, j):
-            v = t.get(i, j)
+            v = rows[i - 1][j - i - 1]
             if v == 0 and (i, j) in inv:
                 return ValidationResult(
                     False, "zero_on_inversion", box=(i, j),
@@ -368,11 +369,12 @@ def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
     if not res:
         raise ValueError(f"not column-injective for {w}: {res.message}")
     inv = w.inversions()
+    entries = t.rows
     rows = [[None] * (t.n - i) for i in range(1, t.n)]
     for j in range(2, t.n + 1):
         below: set[int] = set()
         for i in range(1, j):
-            v = t.get(i, j)
+            v = entries[i - 1][j - i - 1]
             if (i, j) in inv:
                 missing = v - 1 - sum(1 for u in below if u < v)
                 rows[i - 1][j - i - 1] = missing

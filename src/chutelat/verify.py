@@ -16,7 +16,6 @@ from .errors import TheoremViolation
 from .perm import Permutation
 from .pipedream import transpose, triforce_embed
 from .poset import ChutePoset, PolygonType, _bits, cached_poset, classify_polygon
-from .tableaux import lehmer_form
 
 __all__ = [
     "CheckResult",
@@ -454,7 +453,9 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
 
 
 def _support(poset: ChutePoset):
-    return lehmer_form(poset.thetas[0], poset.w).support() if poset.size else ()
+    """The boxes of a Lehmer vector's coordinates: the inversions of w in
+    (column, row) order, as ``LehmerTableau.support`` lists them."""
+    return sorted(poset.w.inversions(), key=lambda b: (b[1], b[0]))
 
 
 def check_triforce_interval(poset: ChutePoset, deadline: Deadline):

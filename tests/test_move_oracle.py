@@ -1,9 +1,14 @@
-"""The corner-driven move search against the rectangle matcher it replaced.
+"""The fast move search and build against the slow routes they replaced.
 
-The oracle tries every rectangle of the staircase, box by box, which is
-O(n^4) rectangles per dream; the fast path in ``chutelat.chute`` scans one
-corner per cross.  Both must return the same moves, in the same order and
-with the same pipe pairs.
+The rectangle oracle tries every rectangle of the staircase, box by box,
+which is O(n^4) rectangles per dream; the fast path in ``chutelat.chute``
+scans one corner per cross.  Both must return the same moves, in the same
+order and with the same pipe pairs.
+
+``two_way_enumerate`` is the undirected search by moves and inverse moves
+that ``enumerate_poset`` used before it searched downward from the top
+dream alone.  Both must build the same poset: the same elements in the
+same canonical order, the same move rows and the same covers.
 """
 
 import itertools
@@ -11,10 +16,18 @@ import random
 
 import pytest
 
+from chutelat import chute
 from chutelat.chute import ChuteMove, apply, find_inverse_moves, find_moves, inverse_apply
 from chutelat.perm import Permutation
-from chutelat.pipedream import BUMP, CROSS, ELBOW, trace
-from chutelat.poset import cached_poset, seed_dream
+from chutelat.pipedream import BUMP, CROSS, ELBOW, PipeDream, trace
+from chutelat.poset import (
+    ChutePoset,
+    brute_force_enumerate,
+    cached_poset,
+    enumerate_poset,
+    seed_dream,
+)
+from chutelat.schubert import schubert_oracle
 
 
 def _rect_boxes(t, b, l, r):
@@ -100,3 +113,76 @@ def test_moves_match_oracle_sampled_n7_n8(n, named):
             step, m = rng.choice(steps)
             d = step(d, m)
             assert trace(d).wiring == w
+
+
+def two_way_enumerate(w: Permutation) -> ChutePoset:
+    """Undirected breadth-first closure of the seed dream under moves and
+    inverse moves, searching each element once.  The up-moves found on the
+    way are the poset's move edges, kept against discovery ids so that each
+    dream is stored once.  The seed's wiring is re-checked at runtime; a
+    mismatch means the seed construction itself is broken, so it aborts
+    loudly."""
+    seed = seed_dream(w)
+    if trace(seed).wiring != w:
+        raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
+    ids = {seed: 0}
+    dreams = [seed]
+    depth = [0]
+    up = []
+
+    def visit(e: PipeDream, k: int) -> int:
+        j = ids.get(e)
+        if j is None:
+            j = ids[e] = len(dreams)
+            dreams.append(e)
+            depth.append(depth[k] + 1)
+        return j
+
+    # dreams grows while it is walked, which makes it the BFS queue
+    for k, d in enumerate(dreams):
+        up.append([(mv, visit(chute.apply(d, mv), k)) for mv in chute.find_moves(d)])
+        for mv in chute.find_inverse_moves(d):
+            visit(chute.inverse_apply(d, mv), k)
+    order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
+    canon = [0] * len(order)
+    for pos, k in enumerate(order):
+        canon[k] = pos
+    moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
+    return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
+
+
+def assert_builds_agree(w: Permutation) -> ChutePoset:
+    fast, slow = enumerate_poset(w), two_way_enumerate(w)
+    assert fast.elements == slow.elements, str(w)
+    assert fast._moves_up == slow._moves_up, str(w)
+    assert [fast.covers_up_idx(k) for k in range(fast.size)] == [
+        slow.covers_up_idx(k) for k in range(slow.size)
+    ], str(w)
+    return fast
+
+
+def test_downward_build_matches_two_way_s4_to_s6():
+    for n in (4, 5, 6):
+        for word in itertools.permutations(range(1, n + 1)):
+            w = Permutation(word)
+            fast = assert_builds_agree(w)
+            assert frozenset(fast.elements) == brute_force_enumerate(w), str(w)
+
+
+def _sampled_n7_n8():
+    rng = random.Random(20261018)
+    words = [Permutation(tuple(rng.sample(range(1, 8), 7))) for _ in range(4)]
+    return words + [Permutation.parse("1327654"), Permutation.parse("12438765")]
+
+
+@pytest.mark.parametrize("w", _sampled_n7_n8(), ids=str)
+def test_downward_build_matches_two_way_sampled_n7_n8(w):
+    fast = assert_builds_agree(w)
+    assert fast.size == schubert_oracle(w).evaluate_ones()
+
+
+def test_downward_build_size_matches_schubert_on_seeded_n8():
+    rng = random.Random(20261019)
+    for _ in range(4):
+        w = Permutation(tuple(rng.sample(range(1, 9), 8)))
+        assert enumerate_poset(w).size == schubert_oracle(w).evaluate_ones(), str(w)

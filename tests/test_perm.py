@@ -67,6 +67,25 @@ def test_inversions_361542():
     assert w.length() == 9
 
 
+def test_inversions_cache_matches_position_pairs_and_stays_bounded():
+    for word in itertools.permutations(range(1, 6)):
+        w = Permutation(word)
+        w.inversions()  # fills the cache; the call below reads it back
+        # value pairs (i, j), i < j, with i at the later position
+        want = {
+            (word[q], word[p])
+            for p in range(5)
+            for q in range(p + 1, 5)
+            if word[p] > word[q]
+        }
+        assert w.inversions() == want, word
+    for word in itertools.permutations(range(1, 7)):
+        Permutation(word).inversions()
+    info = Permutation.inversions.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
 def test_lehmer_code():
     assert Permutation.parse("361542").lehmer_code() == (2, 4, 0, 2, 1, 0)
     assert Permutation.parse("2143").lehmer_code() == (1, 0, 1, 0)

@@ -73,6 +73,16 @@ def test_seed_is_max():
             assert p.leq(d, mx)
 
 
+def test_seed_below_the_top_is_refused(monkeypatch):
+    # the downward search needs the seed to be the top of the fiber; a
+    # lower element of the same fiber has an up-move and must be refused
+    w = Permutation.parse("361542")
+    lower = cached_poset(w).elements[1]
+    monkeypatch.setattr(poset_module, "seed_dream", lambda _w: lower)
+    with pytest.raises(RuntimeError, match="not the top"):
+        enumerate_poset(w)
+
+
 def test_leq_matches_lehmer_dominance():
     for w in all_perms(4):
         p = cached_poset(w)
