@@ -93,6 +93,8 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_verify(args) -> int:
     w = Permutation.parse(args.perm)
+    if args.checks == "":
+        raise ValueError("--checks names no check")
     names = tuple(args.checks.split(",")) if args.checks else None
     report = run_checks(w, names, args.budget_ms)
     print(json.dumps(report.to_json(), indent=2))

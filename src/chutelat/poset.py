@@ -258,8 +258,7 @@ class ChutePoset:
     def interval_idx(self, a: int, b: int) -> "Interval":
         if not self.leq_idx(a, b):
             raise ValueError("interval endpoints are not comparable")
-        mask = self._up0(a) & self._down0(b)
-        return Interval(self, a, b, tuple(self._canonical(mask)), mask)
+        return Interval(self, a, b)
 
     def interval(self, p: PipeDream, q: PipeDream) -> "Interval":
         return self.interval_idx(self.idx(p), self.idx(q))
@@ -267,18 +266,24 @@ class ChutePoset:
 
 @dataclass(frozen=True, eq=False)
 class Interval:
-    """A closed interval, carried as canonical indices in ascending order
-    plus its bitmask in the poset's rank order."""
+    """A closed interval, carried as its endpoints' canonical indices; its
+    members (ascending) are read off one mask in the poset's rank order."""
 
     poset: ChutePoset
     bottom: int
     top: int
-    members: tuple[int, ...]
-    mask: int
+
+    @property
+    def mask(self) -> int:
+        return self.poset._up0(self.bottom) & self.poset._down0(self.top)
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(self.poset._canonical(self.mask))
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
 
 class PolygonType(Enum):
@@ -292,46 +297,36 @@ def classify_polygon(iv: Interval) -> PolygonType:
     """Decide whether the interval consists of exactly two maximal chains
     meeting only at the endpoints, and name it by its cardinality.
 
-    Within an interval every saturated upward chain reaches the top, so
-    maximal chains are exactly the cover paths from bottom to top and the
-    count can be capped at three.  Intervals with a third chain (equally:
-    a chord in the cycle picture) are not polygons; two diamonds glued
-    along an edge is the smallest shape that distinction matters for.
-    Cardinality 4 and 5 polygons get their usual names; anything larger
-    reports POLYGON, which the structure theorems say never happens (the
-    checkers treat that as a failure, not this function).
+    Let I = [a, b] have n >= 4 elements; I is convex, so its cover edges
+    are the poset's cover edges between members.  A polygon's two chains
+    give a two upper covers in I, b two lower covers, and every other
+    member one of each.  Conversely, let a have two upper covers in I,
+    every other member but b one, and b two lower covers.  Those are n
+    edges, and every member above a has a lower cover, so each member
+    strictly between a and b has exactly one.  The two cover paths up
+    from a then run to b, share no member between (it would have two
+    lower covers) and pass through every member (follow its lower covers
+    down to a).  Polygons of 4 and 5 elements get their usual names;
+    a larger one is a POLYGON, which the checkers treat as a failure.
     """
-    if iv.size < 4:
+    mask = iv.mask
+    size = mask.bit_count()
+    if size < 4:
         return PolygonType.NOT_A_POLYGON
     poset = iv.poset
-    rank = poset._rank
-    chains = []
-    stack = [(iv.bottom, (iv.bottom,))]
-    while stack:
-        v, path = stack.pop()
-        if v == iv.top:
-            chains.append(path)
-            if len(chains) > 2:
-                return PolygonType.NOT_A_POLYGON
-            continue
-        for _mv, j in poset.covers_up_idx(v):
-            if (iv.mask >> rank[j]) & 1:
-                stack.append((j, path + (j,)))
-    if len(chains) != 2:
+    rank, order = poset._rank, poset._order
+    lower = sum((mask >> rank[j]) & 1 for j in poset.covers_down_idx(iv.top))
+    if lower != 2:
         return PolygonType.NOT_A_POLYGON
-    if set(chains[0]) & set(chains[1]) != {iv.bottom, iv.top}:
-        return PolygonType.NOT_A_POLYGON
-    # an element off both chains would start a third one
-    off_chains = set(iv.members) - set(chains[0]) - set(chains[1])
-    if off_chains:
-        raise TheoremViolation(
-            "interval element lies on neither maximal chain",
-            witness={"bottom": iv.bottom, "top": iv.top,
-                     "chains": [list(c) for c in chains], "off_chains": sorted(off_chains)},
-        )
-    if iv.size == 4:
+    # every member but the top
+    for r in _bits(mask & poset._down[iv.top]):
+        k = order[r]
+        upper = sum((mask >> rank[j]) & 1 for _mv, j in poset.covers_up_idx(k))
+        if upper != (2 if k == iv.bottom else 1):
+            return PolygonType.NOT_A_POLYGON
+    if size == 4:
         return PolygonType.DIAMOND
-    if iv.size == 5:
+    if size == 5:
         return PolygonType.PENTAGON
     return PolygonType.POLYGON
 

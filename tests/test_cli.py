@@ -98,6 +98,14 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+def test_verify_empty_checks_exits_2(capsys):
+    # an empty list is not the absent option, which runs every check
+    code, out, err = run(capsys, "verify", "2143", "--checks", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --checks names no check\n"
+
+
 def test_verify_zero_budget(capsys):
     code, out, _ = run(capsys, "verify", "361542", "--budget-ms", "0")
     assert code == 0

@@ -14,7 +14,9 @@ comparable pair, and in the transpose oracle the join of the images of
 every pair compared with the image of its meet, and a second test that
 each last-column pair is reversed.  The anti-isomorphism that the
 transpose order pass proves already gives both of the last two.  The
-in-degree count of move edges is kept as the oracle's ``min_element``.
+in-degree count of move edges is kept as the oracle's ``min_element``,
+and the polygon oracle classifies an interval by listing its maximal
+chains, where ``classify_polygon`` counts cover degrees.
 Both routes must give the same order, bounds, intervals and covers, and
 the same reports with the same witnesses, on healthy fibers and on
 broken ones.
@@ -139,12 +141,6 @@ class OraclePoset(ChutePoset):
     def join_idx(self, a, b):
         return self._extreme(self._up0(a) & self._up0(b), a, b, lower=False)
 
-    def interval_idx(self, a, b):
-        if not self.leq_idx(a, b):
-            raise ValueError("interval endpoints are not comparable")
-        mask = self._up0(a) & self._down0(b)
-        return Interval(self, a, b, tuple(_bits(mask)), mask)
-
 
 # -- the pairwise checks that the mask sweeps replaced --------------------
 
@@ -223,6 +219,54 @@ def oracle_lattice(poset, deadline):
     return None
 
 
+def oracle_classify_polygon(iv: Interval) -> PolygonType:
+    """Decide whether the interval consists of exactly two maximal chains
+    meeting only at the endpoints, and name it by its cardinality.
+
+    Within an interval every saturated upward chain reaches the top, so
+    maximal chains are exactly the cover paths from bottom to top and the
+    count can be capped at three.  Intervals with a third chain (equally:
+    a chord in the cycle picture) are not polygons; two diamonds glued
+    along an edge is the smallest shape that distinction matters for.
+    Cardinality 4 and 5 polygons get their usual names; anything larger
+    reports POLYGON, which the structure theorems say never happens (the
+    checkers treat that as a failure, not this function).
+    """
+    if iv.size < 4:
+        return PolygonType.NOT_A_POLYGON
+    poset = iv.poset
+    rank = poset._rank
+    chains = []
+    stack = [(iv.bottom, (iv.bottom,))]
+    while stack:
+        v, path = stack.pop()
+        if v == iv.top:
+            chains.append(path)
+            if len(chains) > 2:
+                return PolygonType.NOT_A_POLYGON
+            continue
+        for _mv, j in poset.covers_up_idx(v):
+            if (iv.mask >> rank[j]) & 1:
+                stack.append((j, path + (j,)))
+    if len(chains) != 2:
+        return PolygonType.NOT_A_POLYGON
+    if set(chains[0]) & set(chains[1]) != {iv.bottom, iv.top}:
+        return PolygonType.NOT_A_POLYGON
+    # an element off both chains would start a third one
+    off_chains = set(iv.members) - set(chains[0]) - set(chains[1])
+    if off_chains:
+        raise TheoremViolation(
+            "interval element lies on neither maximal chain",
+            witness={"bottom": iv.bottom, "top": iv.top,
+                     "chains": [list(c) for c in chains], "off_chains": sorted(off_chains)},
+        )
+    if iv.size == 4:
+        return PolygonType.DIAMOND
+    if iv.size == 5:
+        return PolygonType.PENTAGON
+    return PolygonType.POLYGON
+
+
 def oracle_polygonal(poset, deadline):
     def verdict_witness(a, b, verdict):
         return {
@@ -237,19 +281,19 @@ def oracle_polygonal(poset, deadline):
         ups = [j for _mv, j in poset.covers_up_idx(g0)]
         for x, y in itertools.combinations(ups, 2):
             top = poset.join_idx(x, y)
-            verdict = classify_polygon(poset.interval_idx(g0, top))
+            verdict = oracle_classify_polygon(poset.interval_idx(g0, top))
             if verdict not in fine:
                 return verdict_witness(g0, top, verdict)
         for x, y in itertools.combinations(poset.covers_down_idx(g0), 2):
             bot = poset.meet_idx(x, y)
-            verdict = classify_polygon(poset.interval_idx(bot, g0))
+            verdict = oracle_classify_polygon(poset.interval_idx(bot, g0))
             if verdict not in fine:
                 return verdict_witness(bot, g0, verdict)
     # every comparable pair, which the fork spans above subsume
     for a in range(poset.size):
         for b in range(poset.size):
             if (poset._up[a] >> b) & 1:
-                verdict = classify_polygon(poset.interval_idx(a, b))
+                verdict = oracle_classify_polygon(poset.interval_idx(a, b))
                 if verdict is PolygonType.POLYGON:
                     return verdict_witness(a, b, verdict)
     return None
@@ -530,6 +574,113 @@ def test_hexagon_fails_polygonal_on_both_routes(monkeypatch):
     assert got == want
     assert got["checks"][1]["status"] == "pass"
     assert got["checks"][3] == {"name": "polygonal", "status": "fail", "witness": witness}
+
+
+def tailed_diamond_361542():
+    """A diamond 0 < 1, 2 < 3 with a tail 3 < 4 above it, on dreams of
+    Lehmer totals 0, 1, 1, 2 and 3.  In [0, 4] the upper covers of every
+    member but the top are those of a pentagon; the top has one lower
+    cover."""
+    return hand_built_361542(_picks(0, 1, 1, 2, 3), ((1, 2), (3,), (3,), (4,), ()))
+
+
+def split_pentagon_361542():
+    """A pentagon 0 < 1 < 4 < 5, 0 < 3 < 5 whose long side has a second
+    first step 0 < 2 < 4, on dreams of Lehmer totals 1, 2, 2, 2, 3 and 4.
+    Every member of [0, 5] but the bottom has the covers of a polygon."""
+    return hand_built_361542(
+        _picks(1, 2, 2, 2, 3, 4), ((1, 2, 3), (4,), (4,), (5,), (5,), ()))
+
+
+@pytest.mark.parametrize("build, top", [(m3_361542, 4), (split_pentagon_361542, 5)])
+def test_three_chains_fail_polygonal_on_both_routes(monkeypatch, build, top):
+    # three maximal chains from the bottom: M3 has five elements, so a size
+    # test alone would call it a pentagon, and only the bottom's three
+    # upper covers tell the split pentagon from a hexagon
+    poset = build()
+    iv = poset.interval_idx(0, top)
+    assert iv.size == poset.size
+    assert classify_polygon(iv) is oracle_classify_polygon(iv) is PolygonType.NOT_A_POLYGON
+    witness = {
+        "note": "interval is not a diamond or pentagon",
+        "bottom": poset.elements[0].to_json(),
+        "top": poset.elements[top].to_json(),
+        "verdict": "not_a_polygon",
+    }
+    got, want = reports(monkeypatch, poset.w, {poset.w: poset}, ("polygonal",))
+    assert got == want
+    assert got["checks"] == [{"name": "polygonal", "status": "fail", "witness": witness}]
+
+
+def test_tailed_diamond_is_not_a_pentagon(monkeypatch):
+    # only the top's lower covers tell [0, 4] from a pentagon; its fork
+    # spans are diamonds, so polygonal passes on both routes
+    tailed = tailed_diamond_361542()
+    iv = tailed.interval_idx(0, 4)
+    assert iv.size == 5
+    assert [len(tailed.covers_up_idx(k)) for k in range(4)] == [2, 1, 1, 1]
+    assert tailed.covers_down_idx(4) == (3,)
+    assert classify_polygon(iv) is oracle_classify_polygon(iv) is PolygonType.NOT_A_POLYGON
+    got, want = reports(monkeypatch, tailed.w, {tailed.w: tailed}, ("polygonal",))
+    assert got == want
+    assert got["checks"][0]["status"] == "pass"
+
+
+def _comparable_pairs(poset):
+    return [(a, b) for a in range(poset.size) for b in range(poset.size) if poset.leq_idx(a, b)]
+
+
+def _fork_spans(poset):
+    """The intervals ``check_polygonal`` classifies on a passing fiber: from
+    each element to the join of two of its upper covers, and from the meet
+    of two of its lower covers to it."""
+    spans = []
+    for g in range(poset.size):
+        ups = [j for _mv, j in poset.covers_up_idx(g)]
+        spans += [(g, poset.join_idx(x, y)) for x, y in itertools.combinations(ups, 2)]
+        downs = poset.covers_down_idx(g)
+        spans += [(poset.meet_idx(x, y), g) for x, y in itertools.combinations(downs, 2)]
+    return spans
+
+
+def classify_both(poset, pairs):
+    """The cover-degree verdict of each interval, which must be the chain
+    search's; the set of verdicts seen, so a caller can tell the pairs
+    exercised more than one outcome."""
+    seen = set()
+    for a, b in pairs:
+        iv = poset.interval_idx(a, b)
+        verdict = classify_polygon(iv)
+        assert verdict is oracle_classify_polygon(iv), (str(poset.w), a, b)
+        seen.add(verdict)
+    return seen
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cover_degrees_classify_like_chains_on_sn(n):
+    seen = set()
+    for word in itertools.permutations(range(1, n + 1)):
+        poset = cached_poset(Permutation(word))
+        seen |= classify_both(poset, _comparable_pairs(poset))
+    assert {PolygonType.PENTAGON, PolygonType.NOT_A_POLYGON} <= seen
+    assert PolygonType.POLYGON not in seen
+
+
+def test_cover_degrees_classify_like_chains_on_samples_and_fixtures():
+    seen = set()
+    for w in sampled_n7():
+        poset = cached_poset(w)
+        seen |= classify_both(poset, _comparable_pairs(poset))
+    mid = cached_poset(Permutation.parse("1327654"))
+    spans = _fork_spans(mid)
+    assert len(spans) == 4574
+    seen |= classify_both(mid, spans)
+    assert {PolygonType.DIAMOND, PolygonType.PENTAGON, PolygonType.NOT_A_POLYGON} <= seen
+    hexagon = hexagon_361542()
+    assert PolygonType.POLYGON in classify_both(hexagon, _comparable_pairs(hexagon))
+    glued = cached_poset(Permutation.parse("12543"))
+    pair = (glued.vectors.index((0, 1, 1)), glued.vectors.index((1, 2, 2)))
+    assert classify_both(glued, [pair]) == {PolygonType.NOT_A_POLYGON}
 
 
 @pytest.mark.parametrize("build, side, irreducible", [

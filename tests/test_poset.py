@@ -10,7 +10,6 @@ from chutelat.perm import Permutation
 from chutelat.pipedream import theta
 from chutelat.poset import (
     ChutePoset,
-    Interval,
     PolygonType,
     brute_force_enumerate,
     cached_poset,
@@ -191,18 +190,6 @@ def test_glued_diamonds_are_not_a_polygon():
     iv = p.interval_idx(a, b)
     assert iv.size == 6
     assert classify_polygon(iv) is PolygonType.NOT_A_POLYGON
-
-
-def test_member_off_both_chains_is_a_violation():
-    # a diamond whose member list claims one more element than its two
-    # maximal chains pass through
-    p = cached_poset(Permutation.parse("12453"))
-    iv = p.interval_idx(4, 1)
-    stray = next(k for k in range(p.size) if k not in iv.members)
-    bad = Interval(p, iv.bottom, iv.top, iv.members + (stray,), iv.mask)
-    with pytest.raises(TheoremViolation) as exc:
-        classify_polygon(bad)
-    assert exc.value.witness["off_chains"] == [stray]
 
 
 def test_single_moves_all_covers_recorded():
