@@ -40,6 +40,7 @@ __all__ = [
     "ChuteMove",
     "find_moves",
     "find_inverse_moves",
+    "moved_rows",
     "apply",
     "inverse_apply",
     "vertical_pipes",
@@ -163,20 +164,30 @@ def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
     return out
 
 
+def moved_rows(dream: PipeDream, move: ChuteMove, undo: bool = False) -> tuple[str, ...]:
+    """Rows of the dream after the move, or after undoing it; rejects
+    rectangles whose tiles do not match.  Only the rows are built, so a
+    caller can look the result up before paying for a ``PipeDream``."""
+    t, b, l, r = move.rect
+    if not _fits(dream, t, b, l, r, after=undo):
+        raise ValueError(
+            f"move {move} cannot be undone here" if undo else f"move {move} is not applicable"
+        )
+    southwest, northeast = (BUMP, CROSS) if undo else (CROSS, BUMP)
+    rows = list(dream.rows)
+    rows[b - 1] = rows[b - 1][: l - 1] + southwest + rows[b - 1][l:]
+    rows[t - 1] = rows[t - 1][: r - 1] + northeast + rows[t - 1][r:]
+    return tuple(rows)
+
+
 def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Perform the move; rejects rectangles whose tiles do not match."""
-    t, b, l, r = move.rect
-    if not _fits(dream, t, b, l, r, after=False):
-        raise ValueError(f"move {move} is not applicable")
-    return dream.with_tiles({(b, l): CROSS, (t, r): BUMP})
+    return PipeDream(moved_rows(dream, move))
 
 
 def inverse_apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Undo the move; rejects rectangles whose tiles do not match."""
-    t, b, l, r = move.rect
-    if not _fits(dream, t, b, l, r, after=True):
-        raise ValueError(f"move {move} cannot be undone here")
-    return dream.with_tiles({(b, l): BUMP, (t, r): CROSS})
+    return PipeDream(moved_rows(dream, move, undo=True))
 
 
 def vertical_pipes(dream: PipeDream, move: ChuteMove) -> tuple[int, ...]:

@@ -83,7 +83,12 @@ class PipeDream:
                 yield (r, c)
 
     def crosses(self) -> tuple[tuple[int, int], ...]:
-        return tuple(b for b in self.boxes() if self.tile(*b) == CROSS)
+        return tuple(
+            (r, c)
+            for r, row in enumerate(self.rows, start=1)
+            for c, t in enumerate(row, start=1)
+            if t == CROSS
+        )
 
     def with_tiles(self, updates: dict[tuple[int, int], str]) -> "PipeDream":
         rows = [list(row) for row in self.rows]
@@ -150,6 +155,12 @@ class Routing:
     # 1-indexed by pipe label: the boxes each pipe passes through, in order
     paths: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
+    @property
+    def reduced(self) -> bool:
+        """No pair of pipes crosses more than once."""
+        pairs = {(rec.pipe_lo, rec.pipe_hi) for rec in self.crossings}
+        return len(pairs) == len(self.crossings)
+
     def crossing_of(self, i: int, j: int) -> CrossingRecord | None:
         """The first crossing of pipes i and j, None if they never cross."""
         lo, hi = min(i, j), max(i, j)
@@ -210,22 +221,22 @@ def trace(dream: PipeDream) -> Routing:
     for box in sorted(horiz):
         h, v = horiz[box], vert[box]
         cross_pipes[box] = (h, v)
-        records.append(CrossingRecord(min(h, v), max(h, v), box[0], box[1]))
+        lo, hi = (h, v) if h < v else (v, h)
+        records.append(CrossingRecord(lo, hi, box[0], box[1]))
     records.sort()
     return Routing(wiring, tuple(records), cross_pipes, tuple(paths))
 
 
 def is_reduced(dream: PipeDream) -> bool:
     """No pair of pipes crosses more than once."""
-    pairs = [(r.pipe_lo, r.pipe_hi) for r in trace(dream).crossings]
-    return len(pairs) == len(set(pairs))
+    return trace(dream).reduced
 
 
 def theta(dream: PipeDream) -> InversionsTableau:
     """Send a reduced dream to the tableau of crossing rows: box (i, j)
     holds the row where pipes i and j cross, and 0 when they do not."""
     routing = trace(dream)
-    if not is_reduced(dream):
+    if not routing.reduced:
         raise ValueError("crossing-row tableau needs a reduced dream")
     n = dream.n
     rows = [[0] * (n - i) for i in range(1, n)]
@@ -244,11 +255,11 @@ def transpose(dream: PipeDream) -> "PipeDream":
     """Reflect across the main diagonal; wiring becomes its inverse and the
     chute-move order reverses."""
     n = dream.n
+    rows = dream.rows
+    # row r of the reflection is column r read downwards: the r-th tile of
+    # the first n + 1 - r rows, the ones long enough to hold one
     return PipeDream(
-        tuple(
-            "".join(dream.tile(c, r) for c in range(1, n + 2 - r))
-            for r in range(1, n + 1)
-        )
+        tuple("".join(row[r - 1] for row in rows[: n + 1 - r]) for r in range(1, n + 1))
     )
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 from . import chute
 from .errors import TheoremViolation
 from .perm import Permutation
-from .pipedream import PipeDream, is_reduced, phi, theta, trace
+from .pipedream import BUMP, CROSS, ELBOW, PipeDream, is_reduced, phi, theta, trace
 from .tableaux import (
     InversionsTableau,
     delta_multiset,
@@ -36,6 +36,7 @@ from .tableaux import (
     increment_multiset,
     lehmer_form,
     lehmer_leq,
+    lehmer_vector,
     restrict,
     validate_inversions_tableau,
 )
@@ -71,8 +72,9 @@ def seed_dream(w: Permutation) -> PipeDream:
     wiring convention used here this dream traces to w itself; the caller
     re-checks that at enumeration time."""
     code = w.inverse().lehmer_code()
-    boxes = {(i, c) for i, ci in enumerate(code, start=1) for c in range(1, ci + 1)}
-    return PipeDream.from_crosses(w.n, boxes)
+    return PipeDream(
+        tuple(CROSS * c + BUMP * (w.n - i - c) + ELBOW for i, c in enumerate(code, start=1))
+    )
 
 
 class ChutePoset:
@@ -100,7 +102,7 @@ class ChutePoset:
         if len(moves_up) != size:
             raise ValueError("need one row of moves per element")
         self.thetas = tuple(theta(d) for d in elements)
-        self.vectors = tuple(lehmer_form(t, w).as_vector() for t in self.thetas)
+        self.vectors = tuple(lehmer_vector(t, w) for t in self.thetas)
         self.theta_index = {t: k for k, t in enumerate(self.thetas)}
         if len(self.theta_index) != size:
             raise TheoremViolation(
@@ -375,17 +377,18 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
     if chute.find_moves(seed):
         raise RuntimeError(f"seed dream of {w} has an up-move, so it is not the top")
-    ids = {seed: 0}
+    # keyed by rows, so a dream is built and validated only when it is new
+    ids = {seed.rows: 0}
     dreams = [seed]
     up: list[list] = [[]]
     # dreams grows while it is walked, which makes it the BFS queue
     for k, d in enumerate(dreams):
         for mv in chute.find_inverse_moves(d):
-            e = chute.inverse_apply(d, mv)
-            j = ids.get(e)
+            rows = chute.moved_rows(d, mv, undo=True)
+            j = ids.get(rows)
             if j is None:
-                j = ids[e] = len(dreams)
-                dreams.append(e)
+                j = ids[rows] = len(dreams)
+                dreams.append(PipeDream(rows))
                 up.append([])
             up[j].append((mv, k))
     depth = _undirected_depth(up)

@@ -18,6 +18,7 @@ Three nested families appear here:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -36,6 +37,7 @@ __all__ = [
     "hook_boxes",
     "hook_balanced",
     "balance_equivalence_check",
+    "lehmer_vector",
     "lehmer_form",
     "lehmer_form_inverse",
     "increment",
@@ -172,7 +174,7 @@ class LehmerTableau:
 
     def support(self) -> tuple[tuple[int, int], ...]:
         """Inversion boxes in (column, row)-sorted order."""
-        return tuple(sorted(self.w.inversions(), key=lambda b: (b[1], b[0])))
+        return _support(self.w)
 
     def as_vector(self) -> tuple[int, ...]:
         return tuple(self.get(i, j) for (i, j) in self.support())
@@ -188,6 +190,10 @@ class LehmerTableau:
         if t.n != obj["n"]:
             raise ValueError("n field disagrees with row count")
         return t
+
+
+def _support(w: Permutation) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(w.inversions(), key=lambda b: (b[1], b[0])))
 
 
 def _rebuild(t: StairTableau, rows):
@@ -360,26 +366,36 @@ def validate_inversions_tableau(t: StairTableau, w: Permutation) -> ValidationRe
 # the Lehmer bijection
 
 
-def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
+def lehmer_vector(t: StairTableau, w: Permutation) -> tuple[int, ...]:
     """Column-local relabeling: each entry a becomes the number of positive
     integers below a that are missing from the part of the column under its
-    box.  A bijection from column-injective tableaux for w onto arbitrary
-    fillings of the inversion diagram."""
+    box.  The relabeled entries come out in (column, row) order over the
+    inversions of w, the order of ``LehmerTableau.as_vector``."""
     res = _column_scan(t, w, row_bound=False)
     if not res:
         raise ValueError(f"not column-injective for {w}: {res.message}")
-    inv = w.inversions()
+    # the scan passed, so the nonzero entries sit exactly on the inversions
     entries = t.rows
-    rows = [[None] * (t.n - i) for i in range(1, t.n)]
+    out = []
     for j in range(2, t.n + 1):
-        below: set[int] = set()
+        below: list[int] = []
         for i in range(1, j):
             v = entries[i - 1][j - i - 1]
-            if (i, j) in inv:
-                missing = v - 1 - sum(1 for u in below if u < v)
-                rows[i - 1][j - i - 1] = missing
-            if v != 0:
-                below.add(v)
+            if v:
+                at = bisect_left(below, v)
+                out.append(v - 1 - at)
+                below.insert(at, v)
+    return tuple(out)
+
+
+def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
+    """``lehmer_vector`` laid out on the inversion diagram of w.  A
+    bijection from column-injective tableaux for w onto arbitrary fillings
+    of the inversion diagram."""
+    vector = lehmer_vector(t, w)
+    rows = [[None] * (t.n - i) for i in range(1, t.n)]
+    for (i, j), m in zip(_support(w), vector):
+        rows[i - 1][j - i - 1] = m
     return LehmerTableau(w, tuple(tuple(r) for r in rows))
 
 

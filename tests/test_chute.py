@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from chutelat.chute import (
     find_inverse_moves,
     find_moves,
     inverse_apply,
+    moved_rows,
     vertical_pipes,
 )
 from chutelat.perm import Permutation
@@ -72,6 +74,22 @@ def test_apply_rejects_mismatched_pattern():
     for step in (apply, inverse_apply):
         with pytest.raises(ValueError):
             step(bottom, ChuteMove(2, 3, 1, 3, 1, 2))
+
+
+def test_moved_rows_rejects_what_apply_and_inverse_apply_reject():
+    bottom = PipeDream(("CBCE", "BBE", "BE", "E"))
+    # the first rectangle has the wrong tiles, the second would reach box
+    # (3, 3), outside the staircase
+    for move in (ChuteMove(2, 3, 1, 2, 3, 4), ChuteMove(2, 3, 1, 3, 1, 2)):
+        for undo, step, words in (
+            (True, inverse_apply, "cannot be undone here"),
+            (False, apply, "is not applicable"),
+        ):
+            message = f"^move {re.escape(str(move))} {words}$"
+            with pytest.raises(ValueError, match=message):
+                moved_rows(bottom, move, undo=undo)
+            with pytest.raises(ValueError, match=message):
+                step(bottom, move)
 
 
 def test_apply_preserves_wiring_and_crosses():

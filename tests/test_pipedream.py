@@ -7,7 +7,9 @@ import pytest
 from chutelat import pipedream as pipedream_module
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
+from chutelat.poset import cached_poset
 from chutelat.pipedream import (
+    CROSS,
     PipeDream,
     hat_delete,
     is_reduced,
@@ -66,6 +68,8 @@ def test_double_crossing_not_reduced():
     d = PipeDream.from_crosses(3, {(1, 2), (2, 1)})
     assert trace(d).wiring == Permutation.identity(3)
     assert not is_reduced(d)
+    with pytest.raises(ValueError, match="crossing-row tableau needs a reduced dream"):
+        theta(d)
     # same boxes shifted left is a perfectly fine reduced dream
     assert is_reduced(PipeDream.from_crosses(3, {(1, 1), (2, 1)}))
 
@@ -106,6 +110,32 @@ def test_transpose_involution_and_wiring():
         d = PipeDream.from_crosses(n, boxes)
         assert transpose(transpose(d)) == d
         assert trace(transpose(d)).wiring == trace(d).wiring.inverse()
+
+
+def tile_transpose(dream):
+    """The reflection read box by box through ``tile``: the reference for
+    ``transpose``."""
+    n = dream.n
+    return PipeDream(
+        tuple(
+            "".join(dream.tile(c, r) for c in range(1, n + 2 - r))
+            for r in range(1, n + 1)
+        )
+    )
+
+
+def tile_crosses(dream):
+    """The cross boxes read through ``tile``: the reference for
+    ``PipeDream.crosses``."""
+    return tuple(b for b in dream.boxes() if dream.tile(*b) == CROSS)
+
+
+def test_transpose_and_crosses_match_tile_oracles_s1_to_s6():
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            for d in cached_poset(Permutation(word)).elements:
+                assert transpose(d) == tile_transpose(d), d.rows
+                assert d.crosses() == tile_crosses(d), d.rows
 
 
 def test_hat_delete():

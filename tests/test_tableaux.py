@@ -25,9 +25,11 @@ from chutelat.tableaux import (
     lehmer_form_inverse,
     lehmer_leq,
     lehmer_max,
+    lehmer_vector,
     restrict,
     validate_inversions_tableau,
 )
+from test_lattice_oracle import sampled_n7
 
 # the unique element of IT(361542) meeting all the balance facts pinned
 # below, recorded from an existence scan so later tests can fix entries
@@ -121,6 +123,40 @@ def test_validate_reports_row_bound_before_higher_duplicate():
     assert (res.condition, res.box) == ("row_bound", (1, 6))
     with pytest.raises(ValueError, match="entry 2 repeats in column 6"):
         lehmer_form(t, T361542.w)
+    with pytest.raises(ValueError, match="entry 2 repeats in column 6"):
+        lehmer_vector(t, T361542.w)
+
+
+def oracle_lehmer_form(t, w):
+    """The relabeling as a loop over every box, counting the smaller
+    entries below by a scan: the reference for ``lehmer_vector``, which
+    keeps the entries below sorted and reads the count off by bisection."""
+    inv = w.inversions()
+    entries = t.rows
+    rows = [[None] * (t.n - i) for i in range(1, t.n)]
+    for j in range(2, t.n + 1):
+        below: set[int] = set()
+        for i in range(1, j):
+            v = entries[i - 1][j - i - 1]
+            if (i, j) in inv:
+                missing = v - 1 - sum(1 for u in below if u < v)
+                rows[i - 1][j - i - 1] = missing
+            if v != 0:
+                below.add(v)
+    return LehmerTableau(w, tuple(tuple(r) for r in rows))
+
+
+def test_lehmer_vector_is_the_vector_of_lehmer_form():
+    # every theta of S_4..S_6, of the sampled n=7 fibers and of one n=8
+    # fiber; the poset stores the same vectors
+    ws = [Permutation(word) for n in (4, 5, 6) for word in itertools.permutations(range(1, n + 1))]
+    ws += sampled_n7() + [Permutation.parse("12438765")]
+    for w in ws:
+        poset = cached_poset(w)
+        for t, vector in zip(poset.thetas, poset.vectors):
+            want = oracle_lehmer_form(t, w)
+            assert lehmer_form(t, w) == want, (w, t.rows)
+            assert lehmer_vector(t, w) == vector == want.as_vector(), (w, t.rows)
 
 
 def test_validate_rejects_support():
