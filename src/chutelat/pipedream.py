@@ -152,8 +152,6 @@ class Routing:
     crossings: tuple[CrossingRecord, ...]
     # cross box -> (pipe passing west-to-east, pipe passing south-to-north)
     cross_pipes: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
-    # 1-indexed by pipe label: the boxes each pipe passes through, in order
-    paths: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
 
     @property
     def reduced(self) -> bool:
@@ -161,70 +159,41 @@ class Routing:
         pairs = {(rec.pipe_lo, rec.pipe_hi) for rec in self.crossings}
         return len(pairs) == len(self.crossings)
 
-    def crossing_of(self, i: int, j: int) -> CrossingRecord | None:
-        """The first crossing of pipes i and j, None if they never cross."""
-        lo, hi = min(i, j), max(i, j)
-        for rec in self.crossings:
-            if rec.pipe_lo == lo and rec.pipe_hi == hi:
-                return rec
-        return None
-
 
 @lru_cache(maxsize=8192)
 def trace(dream: PipeDream) -> Routing:
-    """Follow every pipe from the west edge to the north edge.
+    """Route every pipe in one sweep of the rows from bottom to top.
 
-    Total on arbitrary fillings, reduced or not.  Pipes only move north and
-    east, so each trace terminates after at most one visit per box edge.
+    ``north[c]`` holds the pipe leaving column c of the row below and
+    ``west`` the pipe coming in from the left, pipe r at column 1 of row r.
+    A cross passes both straight on, a bump swaps them and an elbow turns
+    ``west`` north.  Total on every C/B filling, reduced or not: each box
+    is visited once.  A pipe entering an elbow from the south, which only
+    an elbow ``PipeDream`` rejects allows, is a TheoremViolation.
     """
     n = dream.n
-    rows = dream.rows
-    exit_pipe = [0] * (n + 1)
-    horiz: dict[tuple[int, int], int] = {}
-    vert: dict[tuple[int, int], int] = {}
-    paths = []
-    for pipe in range(1, n + 1):
-        r, c, from_west = pipe, 1, True
-        path = []
-        while True:
-            path.append((r, c))
-            # (r, c) stays in the staircase: a pipe turns east only out of
-            # a cross or bump, never out of a boundary elbow, and stops at
-            # r == 0
-            t = rows[r - 1][c - 1]
-            if from_west:
-                goes_east = t == CROSS
-                if t == CROSS:
-                    horiz[(r, c)] = pipe
-            else:
-                goes_east = t == BUMP
-                if t == CROSS:
-                    vert[(r, c)] = pipe
-                if t == ELBOW:
-                    raise TheoremViolation(
-                        f"pipe {pipe} entered boundary box ({r},{c}) from the south",
-                        witness={"dream": dream.to_json(), "pipe": pipe, "box": [r, c]},
-                    )
-            if goes_east:
-                c += 1
-                from_west = True
-            else:
-                r -= 1
-                from_west = False
-                if r == 0:
-                    exit_pipe[c] = pipe
-                    break
-        paths.append(tuple(path))
-    wiring = Permutation(tuple(exit_pipe[1:]))
+    north = [0] * (n + 1)
     cross_pipes = {}
     records = []
-    for box in sorted(horiz):
-        h, v = horiz[box], vert[box]
-        cross_pipes[box] = (h, v)
-        lo, hi = (h, v) if h < v else (v, h)
-        records.append(CrossingRecord(lo, hi, box[0], box[1]))
+    for r in range(n, 0, -1):
+        west = r
+        for c, t in enumerate(dream.rows[r - 1], start=1):
+            south = north[c]
+            if t == CROSS:
+                cross_pipes[(r, c)] = (west, south)
+                lo, hi = (west, south) if west < south else (south, west)
+                records.append(CrossingRecord(lo, hi, r, c))
+            elif t == BUMP:
+                north[c], west = west, south
+            elif south:
+                raise TheoremViolation(
+                    f"pipe {south} entered boundary box ({r},{c}) from the south",
+                    witness={"dream": dream.to_json(), "pipe": south, "box": [r, c]},
+                )
+            else:
+                north[c] = west
     records.sort()
-    return Routing(wiring, tuple(records), cross_pipes, tuple(paths))
+    return Routing(Permutation(tuple(north[1:])), tuple(records), cross_pipes)
 
 
 def is_reduced(dream: PipeDream) -> bool:
@@ -264,11 +233,18 @@ def transpose(dream: PipeDream) -> "PipeDream":
 
 
 def _pipe_row_boxes(dream: PipeDream, pipe: int) -> dict[int, list[tuple[int, int]]]:
-    path = trace(dream).paths[pipe - 1]
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (r, c) in path:
-        rows.setdefault(r, []).append((r, c))
-    return rows
+    """The boxes one pipe passes through, grouped by row, west to east."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    r, c, from_west = pipe, 1, True
+    while r:
+        by_row.setdefault(r, []).append((r, c))
+        # a pipe goes east out of a cross it entered from the west or a
+        # bump it entered from the south, and north out of everything else
+        if dream.rows[r - 1][c - 1] == (CROSS if from_west else BUMP):
+            c, from_west = c + 1, True
+        else:
+            r, from_west = r - 1, False
+    return by_row
 
 
 def hat_delete(dream: PipeDream) -> "PipeDream":

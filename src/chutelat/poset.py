@@ -20,6 +20,7 @@ for finite lattices).
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -371,36 +372,47 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
 
     The seed's wiring and its having no up-move are re-checked at runtime;
     either failing means the seed construction itself is broken, so it
-    aborts loudly."""
-    seed = seed_dream(w)
-    if trace(seed).wiring != w:
-        raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
-    if chute.find_moves(seed):
-        raise RuntimeError(f"seed dream of {w} has an up-move, so it is not the top")
-    # keyed by rows, so a dream is built and validated only when it is new
-    ids = {seed.rows: 0}
-    dreams = [seed]
-    up: list[list] = [[]]
-    # dreams grows while it is walked, which makes it the BFS queue
-    for k, d in enumerate(dreams):
-        for mv in chute.find_inverse_moves(d):
-            rows = chute.moved_rows(d, mv, undo=True)
-            j = ids.get(rows)
-            if j is None:
-                j = ids[rows] = len(dreams)
-                dreams.append(PipeDream(rows))
-                up.append([])
-            up[j].append((mv, k))
-    depth = _undirected_depth(up)
-    order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
-    canon = [0] * len(order)
-    for pos, k in enumerate(order):
-        canon[k] = pos
-    moves_up = tuple(
-        tuple((mv, canon[j]) for mv, j in sorted(up[k], key=lambda e: chute.move_order(e[0])))
-        for k in order
-    )
-    return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
+    aborts loudly.
+
+    The cyclic garbage collector is off for the build and restored after
+    it: the build allocates tens of thousands of long-lived tuples and
+    dreams and no reference cycles, so the collections those allocations
+    trigger would free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        seed = seed_dream(w)
+        if trace(seed).wiring != w:
+            raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
+        if chute.find_moves(seed):
+            raise RuntimeError(f"seed dream of {w} has an up-move, so it is not the top")
+        # keyed by rows, so a dream is built and validated only when it is new
+        ids = {seed.rows: 0}
+        dreams = [seed]
+        up: list[list] = [[]]
+        # dreams grows while it is walked, which makes it the BFS queue
+        for k, d in enumerate(dreams):
+            for mv in chute.find_inverse_moves(d):
+                rows = chute.moved_rows(d, mv, undo=True)
+                j = ids.get(rows)
+                if j is None:
+                    j = ids[rows] = len(dreams)
+                    dreams.append(PipeDream(rows))
+                    up.append([])
+                up[j].append((mv, k))
+        depth = _undirected_depth(up)
+        order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
+        canon = [0] * len(order)
+        for pos, k in enumerate(order):
+            canon[k] = pos
+        moves_up = tuple(
+            tuple((mv, canon[j]) for mv, j in sorted(up[k], key=lambda e: chute.move_order(e[0])))
+            for k in order
+        )
+        return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @lru_cache(maxsize=None)

@@ -505,6 +505,11 @@ def run_checks(
 ) -> VerificationReport:
     if names is None:
         names = CHECK_NAMES
+    for pos, nm in enumerate(names):
+        if not nm:
+            raise ValueError(f"check {pos + 1} of the list is empty")
+        if nm in names[:pos]:
+            raise ValueError(f"check {nm} is listed twice")
     unknown = [nm for nm in names if nm not in _CHECKERS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")

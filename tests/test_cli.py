@@ -106,6 +106,18 @@ def test_verify_empty_checks_exits_2(capsys):
     assert err == "error: --checks names no check\n"
 
 
+@pytest.mark.parametrize("checks, message", [
+    (",lattice", "check 1 of the list is empty"),
+    ("lattice,", "check 2 of the list is empty"),
+    ("lattice,sd,lattice", "check lattice is listed twice"),
+])
+def test_verify_empty_or_repeated_check_exits_2(capsys, checks, message):
+    code, out, err = run(capsys, "verify", "2143", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_zero_budget(capsys):
     code, out, _ = run(capsys, "verify", "361542", "--budget-ms", "0")
     assert code == 0

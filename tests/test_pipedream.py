@@ -9,8 +9,13 @@ from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.poset import cached_poset
 from chutelat.pipedream import (
+    BUMP,
     CROSS,
+    ELBOW,
+    CrossingRecord,
     PipeDream,
+    Routing,
+    _pipe_row_boxes,
     hat_delete,
     is_reduced,
     phi,
@@ -19,6 +24,16 @@ from chutelat.pipedream import (
     transpose,
     triforce_embed,
 )
+from test_lattice_oracle import sampled_n7
+
+
+def crossing_of(routing, i, j):
+    """The first crossing of pipes i and j, None if they never cross."""
+    lo, hi = min(i, j), max(i, j)
+    for rec in routing.crossings:
+        if rec.pipe_lo == lo and rec.pipe_hi == hi:
+            return rec
+    return None
 
 
 def test_boundary_must_be_elbow():
@@ -77,7 +92,7 @@ def test_double_crossing_not_reduced():
 def test_crossing_records():
     d = PipeDream.from_crosses(2, {(1, 1)})
     routing = trace(d)
-    rec = routing.crossing_of(1, 2)
+    rec = crossing_of(routing, 1, 2)
     assert (rec.row, rec.col) == (1, 1)
     assert routing.cross_pipes[(1, 1)] == (1, 2) or routing.cross_pipes[(1, 1)] == (2, 1)
 
@@ -89,7 +104,7 @@ def test_theta_entries_are_crossing_rows():
     t = theta(d)
     w = trace(d).wiring
     for (i, j) in sorted(w.inversions()):
-        rec = trace(d).crossing_of(i, j)
+        rec = crossing_of(trace(d), i, j)
         assert t.get(i, j) == rec.row
     # off-diagram boxes are zero
     for (i, j) in t.boxes():
@@ -136,6 +151,96 @@ def test_transpose_and_crosses_match_tile_oracles_s1_to_s6():
             for d in cached_poset(Permutation(word)).elements:
                 assert transpose(d) == tile_transpose(d), d.rows
                 assert d.crosses() == tile_crosses(d), d.rows
+
+
+def oracle_trace(dream):
+    """Follow each pipe box by box from the west edge to the north edge: the
+    reference for the row sweep in ``trace``.  Returns the routing and, per
+    pipe label, the boxes the pipe passes through in order."""
+    n = dream.n
+    rows = dream.rows
+    exit_pipe = [0] * (n + 1)
+    horiz: dict[tuple[int, int], int] = {}
+    vert: dict[tuple[int, int], int] = {}
+    paths = []
+    for pipe in range(1, n + 1):
+        r, c, from_west = pipe, 1, True
+        path = []
+        while True:
+            path.append((r, c))
+            # (r, c) stays in the staircase: a pipe turns east only out of
+            # a cross or bump, never out of a boundary elbow, and stops at
+            # r == 0
+            t = rows[r - 1][c - 1]
+            if from_west:
+                goes_east = t == CROSS
+                if t == CROSS:
+                    horiz[(r, c)] = pipe
+            else:
+                goes_east = t == BUMP
+                if t == CROSS:
+                    vert[(r, c)] = pipe
+                if t == ELBOW:
+                    raise TheoremViolation(
+                        f"pipe {pipe} entered boundary box ({r},{c}) from the south",
+                        witness={"dream": dream.to_json(), "pipe": pipe, "box": [r, c]},
+                    )
+            if goes_east:
+                c += 1
+                from_west = True
+            else:
+                r -= 1
+                from_west = False
+                if r == 0:
+                    exit_pipe[c] = pipe
+                    break
+        paths.append(tuple(path))
+    wiring = Permutation(tuple(exit_pipe[1:]))
+    cross_pipes = {}
+    records = []
+    for box in sorted(horiz):
+        h, v = horiz[box], vert[box]
+        cross_pipes[box] = (h, v)
+        lo, hi = (h, v) if h < v else (v, h)
+        records.append(CrossingRecord(lo, hi, box[0], box[1]))
+    records.sort()
+    return Routing(wiring, tuple(records), cross_pipes), tuple(paths)
+
+
+def assert_trace_matches_oracle(d):
+    got = trace(d)
+    want, _paths = oracle_trace(d)
+    assert got.wiring == want.wiring, d.rows
+    assert got.crossings == want.crossings, d.rows
+    assert got.cross_pipes == want.cross_pipes, d.rows
+    assert got.reduced == want.reduced, d.rows
+
+
+def test_trace_matches_oracle_on_every_filling_n_le_6():
+    # every cross/bump filling of the interior, reduced or not: the
+    # fillings brute_force_enumerate visits
+    for n in range(1, 7):
+        interior = [(r, c) for r in range(1, n) for c in range(1, n + 1 - r)]
+        for bits in range(1 << len(interior)):
+            boxes = {interior[k] for k in range(len(interior)) if (bits >> k) & 1}
+            assert_trace_matches_oracle(PipeDream.from_crosses(n, boxes))
+
+
+def test_trace_matches_oracle_on_sampled_n7_and_12438765():
+    for w in sampled_n7() + [Permutation.parse("12438765")]:
+        for d in cached_poset(w).elements:
+            assert_trace_matches_oracle(d)
+
+
+def test_pipe_row_boxes_match_oracle_path_s1_to_s6():
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            for d in cached_poset(Permutation(word)).elements:
+                _routing, paths = oracle_trace(d)
+                want: dict[int, list[tuple[int, int]]] = {}
+                for (r, c) in paths[n - 1]:
+                    want.setdefault(r, []).append((r, c))
+                assert _pipe_row_boxes(d, n) == want, d.rows
 
 
 def test_hat_delete():

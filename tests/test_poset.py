@@ -1,3 +1,4 @@
+import gc
 import itertools
 from collections import Counter
 
@@ -72,14 +73,43 @@ def test_seed_is_max():
             assert p.leq(d, mx)
 
 
+def _seed_below_the_top(monkeypatch, w):
+    lower = cached_poset(w).elements[1]
+    monkeypatch.setattr(poset_module, "seed_dream", lambda _w: lower)
+
+
 def test_seed_below_the_top_is_refused(monkeypatch):
     # the downward search needs the seed to be the top of the fiber; a
     # lower element of the same fiber has an up-move and must be refused
     w = Permutation.parse("361542")
-    lower = cached_poset(w).elements[1]
-    monkeypatch.setattr(poset_module, "seed_dream", lambda _w: lower)
+    _seed_below_the_top(monkeypatch, w)
     with pytest.raises(RuntimeError, match="not the top"):
         enumerate_poset(w)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_runs_without_the_collector_and_restores_it(monkeypatch, enabled):
+    w = Permutation.parse("361542")
+    real_seed_dream = poset_module.seed_dream
+    during = []
+
+    def spy(v):
+        during.append(gc.isenabled())
+        return real_seed_dream(v)
+
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(poset_module, "seed_dream", spy)
+        enumerate_poset(w)
+        assert gc.isenabled() is enabled
+        _seed_below_the_top(monkeypatch, w)
+        with pytest.raises(RuntimeError, match="not the top"):
+            enumerate_poset(w)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert during and not any(during)
 
 
 def test_leq_matches_lehmer_dominance():
