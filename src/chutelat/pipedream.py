@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .perm import Permutation
-from .tableaux import InversionsTableau, LehmerTableau, lehmer_form
+from .tableaux import InversionsTableau, LehmerTableau, _check_json_n, lehmer_form
 
 __all__ = [
     "CROSS",
@@ -123,10 +123,7 @@ class PipeDream:
             and all(isinstance(row, str) for row in obj["rows"])
         ):
             raise ValueError('a dream is a JSON object {"n": ..., "rows": [row strings]}')
-        dream = PipeDream(tuple(obj["rows"]))
-        if dream.n != obj.get("n"):
-            raise ValueError("n field disagrees with row count")
-        return dream
+        return _check_json_n(PipeDream(tuple(obj["rows"])), obj)
 
     def render_ascii(self) -> str:
         """One glyph per box: '+' for a cross, ')' for a bump or elbow."""

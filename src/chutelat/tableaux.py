@@ -132,12 +132,8 @@ class InversionsTableau(StairTableau):
 
     @staticmethod
     def from_json(obj: dict) -> "InversionsTableau":
-        w = Permutation.parse(obj["w"])
-        rows = tuple(tuple(r) for r in obj["rows"])
-        t = InversionsTableau(rows, w)
-        if t.n != obj["n"]:
-            raise ValueError("n field disagrees with row count")
-        return t
+        w, rows = _read_json(obj)
+        return _check_json_n(InversionsTableau(rows, w), obj)
 
 
 @dataclass(frozen=True)
@@ -184,12 +180,24 @@ class LehmerTableau:
 
     @staticmethod
     def from_json(obj: dict) -> "LehmerTableau":
-        w = Permutation.parse(obj["w"])
-        rows = tuple(tuple(r) for r in obj["rows"])
-        t = LehmerTableau(w, rows)
-        if t.n != obj["n"]:
-            raise ValueError("n field disagrees with row count")
-        return t
+        w, rows = _read_json(obj)
+        return _check_json_n(LehmerTableau(w, rows), obj)
+
+
+def _read_json(obj) -> tuple[Permutation, tuple]:
+    """The w and rows of a tableau's JSON object."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("w"), str)
+            and isinstance(obj.get("rows"), list)
+            and all(isinstance(row, list) for row in obj["rows"])):
+        raise ValueError('a tableau is a JSON object {"n": ..., "w": "...", "rows": [...]}')
+    return Permutation.parse(obj["w"]), tuple(tuple(r) for r in obj["rows"])
+
+
+def _check_json_n(t, obj: dict):
+    """t, once its JSON ``n`` field is an int (not a bool) equal to t.n."""
+    if type(obj.get("n")) is not int or obj["n"] != t.n:
+        raise ValueError(f"n field must be the integer {t.n}, got {obj.get('n')!r}")
+    return t
 
 
 def _support(w: Permutation) -> tuple[tuple[int, int], ...]:

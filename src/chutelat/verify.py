@@ -11,11 +11,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import TheoremViolation
 from .perm import Permutation
 from .pipedream import transpose, triforce_embed
-from .poset import ChutePoset, PolygonType, _bits, cached_poset, classify_polygon
+from .poset import ChutePoset, Interval, PolygonType, _bits, cached_poset, classify_polygon
+from .tableaux import _support
 
 __all__ = [
     "CheckResult",
@@ -154,23 +156,25 @@ def _unbounded_pair(poset: ChutePoset):
     return None
 
 
+def _forks(poset: ChutePoset, g: int, up: bool):
+    """The forks at g: the pairs of its upper covers (with ``up``) or of
+    its lower covers, in cover order."""
+    if up:
+        return combinations([j for _mv, j in poset.covers_up_idx(g)], 2)
+    return combinations(poset.covers_down_idx(g), 2)
+
+
 def _fork_failure(poset: ChutePoset, deadline: Deadline, up: bool):
     """The first up-fork without a join (with ``up``) or down-fork without
-    a meet: the pair of upper (lower) covers of one element.  None when
-    every fork has its bound."""
+    a meet.  None when every fork has its bound."""
     bound = poset.join_idx if up else poset.meet_idx
     for g in range(poset.size):
         deadline.poll()
-        if up:
-            covers = [j for _mv, j in poset.covers_up_idx(g)]
-        else:
-            covers = poset.covers_down_idx(g)
-        for x in range(len(covers)):
-            for y in range(x + 1, len(covers)):
-                try:
-                    bound(covers[x], covers[y])
-                except TheoremViolation:
-                    return covers[x], covers[y]
+        for a, b in _forks(poset, g, up):
+            try:
+                bound(a, b)
+            except TheoremViolation:
+                return a, b
     return None
 
 
@@ -321,33 +325,27 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
     above both x and y lies on a maximal chain through x and on one
     through y, so on both chains, so it is b.  Hence x v y = b: [a, b] is
     the span of the up-fork (x, y) at a, and the fork loop classifies it.
+
+    A span met again is skipped: it passed the first time, or the check
+    would have returned, so the first failing span and its witness stay.
     """
-    size = poset.size
-
-    def verdict_witness(a, b, verdict):
-        return {
-            "note": "interval is not a diamond or pentagon",
-            "bottom": poset.elements[a].to_json(),
-            "top": poset.elements[b].to_json(),
-            "verdict": verdict.value,
-        }
-
-    for g0 in range(size):
+    seen = set()
+    for g in range(poset.size):
         deadline.poll()
-        ups = [j for _mv, j in poset.covers_up_idx(g0)]
-        for x in range(len(ups)):
-            for y in range(x + 1, len(ups)):
-                top = poset.join_idx(ups[x], ups[y])
-                verdict = classify_polygon(poset.interval_idx(g0, top))
+        for up in (True, False):
+            for x, y in _forks(poset, g, up):
+                span = (g, poset.join_idx(x, y)) if up else (poset.meet_idx(x, y), g)
+                if span in seen:
+                    continue
+                seen.add(span)
+                verdict = classify_polygon(Interval(poset, *span))
                 if verdict not in (PolygonType.DIAMOND, PolygonType.PENTAGON):
-                    return verdict_witness(g0, top, verdict)
-        downs = poset.covers_down_idx(g0)
-        for x in range(len(downs)):
-            for y in range(x + 1, len(downs)):
-                bot = poset.meet_idx(downs[x], downs[y])
-                verdict = classify_polygon(poset.interval_idx(bot, g0))
-                if verdict not in (PolygonType.DIAMOND, PolygonType.PENTAGON):
-                    return verdict_witness(bot, g0, verdict)
+                    return {
+                        "note": "interval is not a diamond or pentagon",
+                        "bottom": poset.elements[span[0]].to_json(),
+                        "top": poset.elements[span[1]].to_json(),
+                        "verdict": verdict.value,
+                    }
     return None
 
 
@@ -404,7 +402,8 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     poset is unbounded, the all-pairs meet sweep decides and gives the
     witness.  A pair differing only in the last column has equal Lehmer
     vectors off it, so only such groups are searched, in the pairwise
-    order; a b above a already has image[b] <= image[a].
+    order; a b above a already has image[b] <= image[a].  The support is
+    in (column, row) order, so the key is the prefix before the last column.
     """
     w = poset.w
     other = cached_poset(w.inverse())
@@ -430,9 +429,9 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
                 poset, *fork, "bounded down-fork criterion disagrees with the meet sweep")
     n = w.n
     row0 = w.inverse()(n)
-    last_col = {k for k, box in enumerate(_support(poset)) if box[1] == n}
-    bad_row = {k for k, box in enumerate(_support(other)) if box[0] == row0}
-    keys = [tuple(x for k, x in enumerate(v) if k not in last_col) for v in poset.vectors]
+    cut = sum(j < n for _i, j in _support(w))
+    bad_row = {k for k, (i, _j) in enumerate(_support(other.w)) if i == row0}
+    keys = [v[:cut] for v in poset.vectors]
     groups: dict[tuple, list[int]] = {}
     for a, key in enumerate(keys):
         groups.setdefault(key, []).append(a)
@@ -450,12 +449,6 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
                     "transposed pair differs outside the forced row",
                 )
     return None
-
-
-def _support(poset: ChutePoset):
-    """The boxes of a Lehmer vector's coordinates: the inversions of w in
-    (column, row) order, as ``LehmerTableau.support`` lists them."""
-    return sorted(poset.w.inversions(), key=lambda b: (b[1], b[0]))
 
 
 def check_triforce_interval(poset: ChutePoset, deadline: Deadline):

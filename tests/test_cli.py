@@ -184,6 +184,7 @@ def test_render(capsys, tmp_path):
 
 @pytest.mark.parametrize("blob", [
     "{}", "[1]", '{"n": 1, "rows": [1]}',
+    '{"n": true, "rows": ["E"]}', '{"n": 1.0, "rows": ["E"]}',
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
 ])
 def test_render_malformed_dream_exits_2(capsys, tmp_path, blob):

@@ -34,7 +34,7 @@ import random
 
 import pytest
 
-from chutelat import verify
+from chutelat import tableaux, verify
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import transpose
@@ -323,8 +323,8 @@ def oracle_transpose(poset, deadline):
                 return verify._pair_witness(poset, a, b, "transpose of meet is not the join")
     n = w.n
     row0 = w.inverse()(n)
-    last_col = {k for k, box in enumerate(verify._support(poset)) if box[1] == n}
-    bad_row = {k for k, box in enumerate(verify._support(other)) if box[0] == row0}
+    last_col = {k for k, box in enumerate(tableaux._support(w)) if box[1] == n}
+    bad_row = {k for k, box in enumerate(tableaux._support(other.w)) if box[0] == row0}
     for a in range(size):
         va = poset.vectors[a]
         for b in range(size):
@@ -551,6 +551,16 @@ def bowtie_361542():
     )
 
 
+def hexagon_and_open_fork_361542():
+    """A hexagon 0 < 1 < 4 < 6, 0 < 2 < 5 < 6 with a third atom 3 that
+    lies below the two maximal elements 7 and 8, as 1 does, so 1 v 3 does
+    not exist.  On dreams of Lehmer totals 1, 2, 2, 2, 3, 3, 4, 3, 3."""
+    return hand_built_361542(
+        _picks(1, 2, 2, 2, 3, 3, 4, 3, 3),
+        ((1, 2, 3), (4, 7, 8), (5,), (7, 8), (6,), (6,), (), (), ()),
+    )
+
+
 def two_chains_361542():
     """Two disjoint two-element chains, each from a dream of Lehmer total
     1 to the transpose of the other's: unbounded, with no fork at all, and
@@ -574,6 +584,25 @@ def test_hexagon_fails_polygonal_on_both_routes(monkeypatch):
     assert got == want
     assert got["checks"][1]["status"] == "pass"
     assert got["checks"][3] == {"name": "polygonal", "status": "fail", "witness": witness}
+
+
+def test_polygonal_classifies_each_span_before_the_next_bound(monkeypatch):
+    # the bottom's first up-fork spans the hexagon and its second, (1, 3),
+    # has no join: the hexagon is reported only if each span is classified
+    # before the next fork's join is computed
+    poset = hexagon_and_open_fork_361542()
+    with pytest.raises(TheoremViolation):
+        poset.join_idx(1, 3)
+    witness = {
+        "note": "interval is not a diamond or pentagon",
+        "bottom": poset.elements[0].to_json(),
+        "top": poset.elements[6].to_json(),
+        "verdict": "polygon",
+    }
+    assert verify.check_polygonal(poset, verify.Deadline(None)) == witness
+    got, want = reports(monkeypatch, poset.w, {poset.w: poset}, ("polygonal",))
+    assert got == want
+    assert got["checks"] == [{"name": "polygonal", "status": "fail", "witness": witness}]
 
 
 def tailed_diamond_361542():
@@ -631,9 +660,9 @@ def _comparable_pairs(poset):
 
 
 def _fork_spans(poset):
-    """The intervals ``check_polygonal`` classifies on a passing fiber: from
-    each element to the join of two of its upper covers, and from the meet
-    of two of its lower covers to it."""
+    """The fork spans in the order ``check_polygonal`` meets them, repeats
+    included: from each element to the join of two of its upper covers,
+    and from the meet of two of its lower covers to it."""
     spans = []
     for g in range(poset.size):
         ups = [j for _mv, j in poset.covers_up_idx(g)]
@@ -641,6 +670,34 @@ def _fork_spans(poset):
         downs = poset.covers_down_idx(g)
         spans += [(poset.meet_idx(x, y), g) for x, y in itertools.combinations(downs, 2)]
     return spans
+
+
+def _classified_spans(monkeypatch, poset):
+    """The (bottom, top) of each ``classify_polygon`` call that a passing
+    ``check_polygonal`` makes, in call order."""
+    calls = []
+    real = verify.classify_polygon
+
+    def counted(iv):
+        calls.append((iv.bottom, iv.top))
+        return real(iv)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "classify_polygon", counted)
+        assert verify.check_polygonal(poset, verify.Deadline(None)) is None
+    return calls
+
+
+def test_each_fork_span_is_classified_once(monkeypatch):
+    # a span met again already passed, so it is not classified again
+    for word in itertools.permutations(range(1, 6)):
+        poset = cached_poset(Permutation(word))
+        distinct = list(dict.fromkeys(_fork_spans(poset)))
+        assert _classified_spans(monkeypatch, poset) == distinct, word
+    mid = cached_poset(Permutation.parse("1327654"))
+    calls = _classified_spans(monkeypatch, mid)
+    assert calls == list(dict.fromkeys(_fork_spans(mid)))
+    assert len(calls) == 2287
 
 
 def classify_both(poset, pairs):
@@ -799,17 +856,19 @@ def test_failed_certificate_with_passing_sweep_reports_refutation(monkeypatch):
 def test_last_column_pairs_fail_alike_on_both_routes(monkeypatch):
     # with the forced row of the inverse fiber emptied, a last-column pair
     # fails as soon as its transposes differ at all, which happens on most
-    # fibers of S_6; both routes must stop at the same first pair
-    support = verify._support
+    # fibers of S_6; both routes must stop at the same first pair.  The
+    # check reads the support through verify, the oracle through tableaux.
+    support = tableaux._support
     failures = 0
     for word in itertools.permutations(range(1, 7)):
         w = Permutation(word)
 
-        def no_forced_row(poset, w=w):
-            boxes = support(poset)
-            return boxes if poset.w == w else ((0, 0),) * len(boxes)
+        def no_forced_row(v, w=w):
+            boxes = support(v)
+            return boxes if v == w else ((0, 0),) * len(boxes)
 
         monkeypatch.setattr(verify, "_support", no_forced_row)
+        monkeypatch.setattr(tableaux, "_support", no_forced_row)
         got, want = reports(monkeypatch, w, names=("transpose",))
         assert got == want, w
         failures += got["checks"][0]["status"] == "fail"

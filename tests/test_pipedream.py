@@ -303,6 +303,14 @@ def test_json_round_trip():
     assert PipeDream.from_json(json.loads(blob)) == d
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1", None, 2])
+def test_json_n_must_be_the_integer_row_count(n):
+    # True == 1 and 1.0 == 1 in Python, so an equality test alone admits them
+    assert PipeDream.from_json({"n": 1, "rows": ["E"]}) == PipeDream(("E",))
+    with pytest.raises(ValueError, match="n field"):
+        PipeDream.from_json({"n": n, "rows": ["E"]})
+
+
 def test_render_ascii():
     d = PipeDream.from_crosses(3, {(1, 1)})
     assert d.render_ascii() == "+))\n))\n)"

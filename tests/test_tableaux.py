@@ -218,6 +218,30 @@ def test_lehmer_json_round_trip():
     assert LehmerTableau.from_json(L.to_json()) == L
 
 
+@pytest.mark.parametrize("cls, t", [
+    (InversionsTableau, T361542),
+    (LehmerTableau, lehmer_form(T361542, T361542.w)),
+])
+def test_tableau_json_rejects_bad_fields(cls, t):
+    good = t.to_json()
+    assert cls.from_json(good) == t
+    # True == 1 and 1.0 == 1 in Python, so the n = 1 tableau, which has no
+    # rows, is where an equality test alone would admit them
+    one = cls.from_json({"n": 1, "w": "1", "rows": []})
+    for n in (True, 1.0, "1", None):
+        with pytest.raises(ValueError, match="n field"):
+            cls.from_json({**one.to_json(), "n": n})
+    bad = [
+        {**good, "n": 6.0}, {**good, "n": 5},
+        {k: v for k, v in good.items() if k != "n"},
+        {**good, "w": 361542}, {k: v for k, v in good.items() if k != "w"},
+        {k: v for k, v in good.items() if k != "rows"}, {**good, "rows": [1]}, [good],
+    ]
+    for obj in bad:
+        with pytest.raises(ValueError):
+            cls.from_json(obj)
+
+
 T41865732 = theta(
     PipeDream(("CBCCCCBE", "CCCCCCE", "CBCCBE", "BBBBE", "BBBE", "CBE", "CE", "E"))
 )
