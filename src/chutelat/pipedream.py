@@ -16,13 +16,15 @@ when no two pipes cross twice; the reduced dreams with wiring w form PD(w).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .perm import Permutation
-from .tableaux import InversionsTableau, LehmerTableau, _check_json_n, lehmer_form
+from .tableaux import InversionsTableau, LehmerTableau, _check_json_n, lehmer_form, lehmer_vector
 
 __all__ = [
     "CROSS",
@@ -35,6 +37,7 @@ __all__ = [
     "is_reduced",
     "theta",
     "phi",
+    "phi_vector",
     "transpose",
     "hat_delete",
     "triforce_embed",
@@ -215,6 +218,40 @@ def phi(dream: PipeDream) -> LehmerTableau:
     """Crossing rows followed by the column-local relabeling."""
     t = theta(dream)
     return lehmer_form(t, t.w)
+
+
+# crossing records in (column, row) order: box (pipe_lo, pipe_hi) of the
+# crossing-row tableau sits in column pipe_hi and row pipe_lo
+_column_major = itemgetter(1, 0)
+
+
+def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
+    """``lehmer_vector(theta(dream), w)`` read straight off the dream's
+    routing, with no tableau built.
+
+    The checks of that route run first: the sizes agree, the dream is
+    reduced and its crossing pairs are exactly the inversions of w (one
+    record per inversion and no other pair), and the crossing rows are
+    distinct within each column.  Each column is then relabeled bottom to
+    top as ``lehmer_vector`` does.  If a check fails, the tableau route
+    runs instead, so every error keeps its type and message.
+    """
+    crossings = trace(dream).crossings
+    inv = w.inversions()
+    if dream.n == w.n and len(crossings) == len(inv) and {rec[:2] for rec in crossings} == inv:
+        out = []
+        column, below = 0, []
+        for _lo, hi, row, _col in sorted(crossings, key=_column_major):
+            if hi != column:
+                column, below = hi, []
+            at = bisect_left(below, row)
+            if at < len(below) and below[at] == row:
+                break
+            out.append(row - 1 - at)
+            below.insert(at, row)
+        else:
+            return tuple(out)
+    return lehmer_vector(theta(dream), w)
 
 
 def transpose(dream: PipeDream) -> "PipeDream":

@@ -21,15 +21,14 @@ for finite lattices).
 from __future__ import annotations
 
 import gc
-import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import chute
 from .errors import TheoremViolation
 from .perm import Permutation
-from .pipedream import BUMP, CROSS, ELBOW, PipeDream, is_reduced, phi, theta, trace
+from .pipedream import BUMP, CROSS, ELBOW, PipeDream, is_reduced, phi, phi_vector, theta, trace
 from .tableaux import (
     InversionsTableau,
     delta_multiset,
@@ -37,7 +36,6 @@ from .tableaux import (
     increment_multiset,
     lehmer_form,
     lehmer_leq,
-    lehmer_vector,
     restrict,
     validate_inversions_tableau,
 )
@@ -89,23 +87,30 @@ class ChutePoset:
     ``_order[r]``); covers are the single-move edges with nothing strictly
     between.
 
-    ``moves_up[k]`` holds the moves out of element k, in the order
-    ``chute.find_moves`` returns them, each paired with its target's index.
+    ``vectors[k]`` is the Lehmer vector of element k,
+    ``lehmer_vector(theta(elements[k]), w)``, and ``moves_up[k]`` holds the
+    moves out of element k, in the order ``chute.find_moves`` returns them,
+    each paired with its target's index.
     """
 
-    def __init__(self, w: Permutation, elements: tuple[PipeDream, ...], moves_up: tuple):
+    def __init__(
+        self, w: Permutation, elements: tuple[PipeDream, ...], vectors: tuple, moves_up: tuple
+    ):
         self.w = w
         self.elements = elements
         self.index = {d: k for k, d in enumerate(elements)}
         if len(self.index) != len(elements):
             raise ValueError("duplicate elements")
         size = len(elements)
+        if len(vectors) != size:
+            raise ValueError("need one Lehmer vector per element")
         if len(moves_up) != size:
             raise ValueError("need one row of moves per element")
-        self.thetas = tuple(theta(d) for d in elements)
-        self.vectors = tuple(lehmer_vector(t, w) for t in self.thetas)
-        self.theta_index = {t: k for k, t in enumerate(self.thetas)}
-        if len(self.theta_index) != size:
+        self.vectors = vectors
+        # the column relabeling is a bijection on column-injective
+        # tableaux, so the vectors are distinct exactly when the
+        # crossing-row tableaux are
+        if len(set(vectors)) != size:
             raise TheoremViolation(
                 "crossing-row map is not injective on this fiber",
                 witness={"w": str(w)},
@@ -154,6 +159,16 @@ class ChutePoset:
         self._full = (1 << size) - 1
 
     # -- basic lookups ------------------------------------------------------
+
+    @cached_property
+    def thetas(self) -> tuple[InversionsTableau, ...]:
+        """Each element's crossing-row tableau, built on first use; the
+        build and the checks read only ``vectors``."""
+        return tuple(theta(d) for d in self.elements)
+
+    @cached_property
+    def theta_index(self) -> dict[InversionsTableau, int]:
+        return {t: k for k, t in enumerate(self.thetas)}
 
     @property
     def size(self) -> int:
@@ -368,7 +383,10 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     row is sorted by (top, left, bottom, right), the order
     ``chute.find_moves`` returns.  The canonical depth of an element is its
     undirected distance from the seed over these edges, the layer an
-    undirected search by moves and inverse moves would put it in.
+    undirected search by moves and inverse moves would put it in.  Each
+    element's Lehmer vector is read off its routing right after its inverse
+    moves are found, while the routing is still cached, so the build traces
+    each element once whatever the fiber's size.
 
     The seed's wiring and its having no up-move are re-checked at runtime;
     either failing means the seed construction itself is broken, so it
@@ -389,10 +407,14 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         # keyed by rows, so a dream is built and validated only when it is new
         ids = {seed.rows: 0}
         dreams = [seed]
+        vectors = []
         up: list[list] = [[]]
         # dreams grows while it is walked, which makes it the BFS queue
         for k, d in enumerate(dreams):
-            for mv in chute.find_inverse_moves(d):
+            moves = chute.find_inverse_moves(d)
+            # read while d's routing, traced just now, is still cached
+            vectors.append(phi_vector(d, w))
+            for mv in moves:
                 rows = chute.moved_rows(d, mv, undo=True)
                 j = ids.get(rows)
                 if j is None:
@@ -409,7 +431,9 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
             tuple((mv, canon[j]) for mv, j in sorted(up[k], key=lambda e: chute.move_order(e[0])))
             for k in order
         )
-        return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
+        return ChutePoset(
+            w, tuple(dreams[k] for k in order), tuple(vectors[k] for k in order), moves_up
+        )
     finally:
         if enabled:
             gc.enable()
@@ -598,9 +622,10 @@ def to_dot(poset: ChutePoset, tooltips: bool = True) -> str:
     ]
     for k, d in enumerate(poset.elements):
         if tooltips:
-            blob = json.dumps(d.to_json(), separators=(",", ":"))
-            blob = blob.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {k} [tooltip="{blob}"];')
+            # the compact JSON of d.to_json() with its quotes escaped; rows
+            # hold only C, B and E, so nothing else needs escaping
+            rows = ",".join(f'\\"{row}\\"' for row in d.rows)
+            lines.append(f'  {k} [tooltip="{{\\"n\\":{d.n},\\"rows\\":[{rows}]}}"];')
         else:
             lines.append(f"  {k};")
     for k in range(poset.size):

@@ -47,7 +47,12 @@ class Deadline:
     def __init__(self, budget_ms: int | None):
         if budget_ms is None:
             env = os.environ.get("CHUTELAT_BUDGET_MS")
-            budget_ms = int(env) if env else DEFAULT_BUDGET_MS
+            try:
+                budget_ms = int(env) if env else DEFAULT_BUDGET_MS
+            except ValueError:
+                raise ValueError(
+                    f"CHUTELAT_BUDGET_MS must be an integer number of ms, got {env!r}"
+                ) from None
         if budget_ms < 0:
             raise ValueError(f"budget must be at least 0 ms, got {budget_ms}")
         self.budget_ms = budget_ms

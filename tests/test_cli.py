@@ -131,6 +131,15 @@ def test_verify_negative_budget_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "10ms"])
+def test_verify_non_integer_budget_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("CHUTELAT_BUDGET_MS", value)
+    code, out, err = run(capsys, "verify", "132")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: CHUTELAT_BUDGET_MS must be an integer number of ms, got {value!r}\n"
+
+
 def test_schubert(capsys):
     code, out, _ = run(capsys, "schubert", "321")
     assert code == 0

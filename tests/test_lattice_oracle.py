@@ -451,7 +451,7 @@ def test_rank_bitsets_match_oracle_on_sampled_n7(monkeypatch):
 def _drop_edge(poset, k, i):
     moves = list(poset._moves_up)
     moves[k] = moves[k][:i] + moves[k][i + 1:]
-    return ChutePoset(poset.w, poset.elements, tuple(moves))
+    return ChutePoset(poset.w, poset.elements, poset.vectors, tuple(moves))
 
 
 def test_dropped_move_edge_fails_alike_on_both_routes(monkeypatch):
@@ -510,7 +510,12 @@ def hand_built_361542(picks, targets):
     edges, not their moves."""
     real = _real_361542()
     moves_up = tuple(tuple((None, j) for j in row) for row in targets)
-    return ChutePoset(real.w, tuple(real.elements[k] for k in picks), moves_up)
+    return ChutePoset(
+        real.w,
+        tuple(real.elements[k] for k in picks),
+        tuple(real.vectors[k] for k in picks),
+        moves_up,
+    )
 
 
 def hexagon_361542():

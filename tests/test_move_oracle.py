@@ -19,7 +19,7 @@ import pytest
 from chutelat import chute
 from chutelat.chute import ChuteMove, apply, find_inverse_moves, find_moves, inverse_apply
 from chutelat.perm import Permutation
-from chutelat.pipedream import BUMP, CROSS, ELBOW, PipeDream, trace
+from chutelat.pipedream import BUMP, CROSS, ELBOW, PipeDream, theta, trace
 from chutelat.poset import (
     ChutePoset,
     brute_force_enumerate,
@@ -28,6 +28,7 @@ from chutelat.poset import (
     seed_dream,
 )
 from chutelat.schubert import schubert_oracle
+from chutelat.tableaux import lehmer_vector
 
 
 def _rect_boxes(t, b, l, r):
@@ -148,12 +149,15 @@ def two_way_enumerate(w: Permutation) -> ChutePoset:
     for pos, k in enumerate(order):
         canon[k] = pos
     moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
-    return ChutePoset(w, tuple(dreams[k] for k in order), moves_up)
+    elements = tuple(dreams[k] for k in order)
+    vectors = tuple(lehmer_vector(theta(d), w) for d in elements)
+    return ChutePoset(w, elements, vectors, moves_up)
 
 
 def assert_builds_agree(w: Permutation) -> ChutePoset:
     fast, slow = enumerate_poset(w), two_way_enumerate(w)
     assert fast.elements == slow.elements, str(w)
+    assert fast.vectors == slow.vectors, str(w)
     assert fast._moves_up == slow._moves_up, str(w)
     assert [fast.covers_up_idx(k) for k in range(fast.size)] == [
         slow.covers_up_idx(k) for k in range(slow.size)

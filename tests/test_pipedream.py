@@ -19,11 +19,13 @@ from chutelat.pipedream import (
     hat_delete,
     is_reduced,
     phi,
+    phi_vector,
     theta,
     trace,
     transpose,
     triforce_embed,
 )
+from chutelat.tableaux import lehmer_vector
 from test_lattice_oracle import sampled_n7
 
 
@@ -230,6 +232,53 @@ def test_trace_matches_oracle_on_sampled_n7_and_12438765():
     for w in sampled_n7() + [Permutation.parse("12438765")]:
         for d in cached_poset(w).elements:
             assert_trace_matches_oracle(d)
+
+
+def test_phi_vector_matches_the_tableau_route():
+    # every element of every fiber of S_1..S_6, of the sampled n=7 fibers
+    # and of one n=8 fiber; the poset stores the same vectors
+    ws = [Permutation(word) for n in range(1, 7) for word in itertools.permutations(range(1, n + 1))]
+    ws += sampled_n7() + [Permutation.parse("12438765")]
+    for w in ws:
+        poset = cached_poset(w)
+        for d, stored in zip(poset.elements, poset.vectors):
+            assert phi_vector(d, w) == lehmer_vector(theta(d), w) == stored, (w, d.rows)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def test_phi_vector_fails_like_the_tableau_route(monkeypatch):
+    doubled = PipeDream.from_crosses(3, {(1, 2), (2, 1)})
+    # pipes 3 and 4 cross three times, so the crossing pairs still make
+    # up the inversion set {(3, 4)} of the wiring 1243
+    tripled = PipeDream.from_crosses(4, {(1, 3), (2, 2), (3, 1)})
+    assert not is_reduced(doubled) and not is_reduced(tripled)
+    other = cached_poset(Permutation.parse("1432")).elements[0]
+    cases = [
+        (doubled, trace(doubled).wiring, "needs a reduced dream"),
+        (tripled, Permutation.parse("1243"), "needs a reduced dream"),
+        (other, Permutation.parse("2143"), "not column-injective for 2143"),
+        # 1324 and 132 have the same single inversion (2, 3)
+        (cached_poset(Permutation.parse("1324")).elements[0], Permutation.parse("132"),
+         "tableau n=4 but w has n=3"),
+    ]
+    for d, w, message in cases:
+        got = _raised(lambda: phi_vector(d, w))
+        assert got == _raised(lambda: lehmer_vector(theta(d), w)), (d.rows, w)
+        assert got[0] is ValueError and message in got[1], got
+    # a routing whose crossings are the inversions of 321 but put pipes 1
+    # and 3 and pipes 2 and 3 in the same row, 1, of column 3
+    w = Permutation.parse("321")
+    records = (CrossingRecord(1, 2, 2, 1), CrossingRecord(1, 3, 1, 1), CrossingRecord(2, 3, 1, 2))
+    monkeypatch.setattr(pipedream_module, "trace", lambda d: Routing(w, records, {}))
+    d = PipeDream.all_bump(3)
+    got = _raised(lambda: phi_vector(d, w))
+    assert got == _raised(lambda: lehmer_vector(theta(d), w))
+    assert got == (ValueError, "not column-injective for 321: entry 1 repeats in column 3 (rows 1 and 2)")
 
 
 def test_pipe_row_boxes_match_oracle_path_s1_to_s6():

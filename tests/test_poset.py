@@ -5,10 +5,12 @@ from collections import Counter
 import pytest
 
 from chutelat import poset as poset_module
+from chutelat import schubert as schubert_module
+from chutelat import verify as verify_module
 from chutelat.chute import check_increment_correspondence
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
-from chutelat.pipedream import theta
+from chutelat.pipedream import theta, trace
 from chutelat.poset import (
     ChutePoset,
     PolygonType,
@@ -244,7 +246,9 @@ def hand_built_361542(totals, targets):
         picks.append(by_total[t][seen[t]])
         seen[t] += 1
     moves_up = tuple(tuple((None, j) for j in row) for row in targets)
-    return ChutePoset(w, tuple(real.elements[k] for k in picks), moves_up)
+    return ChutePoset(
+        w, tuple(real.elements[k] for k in picks), tuple(real.vectors[k] for k in picks), moves_up
+    )
 
 
 def test_single_moves_all_covers_false_on_a_skipping_move():
@@ -259,13 +263,58 @@ def test_single_moves_all_covers_false_on_a_skipping_move():
 
 def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
     # the guard that keeps Lehmer forms distinct, which check_isomorphism
-    # relies on: two elements may not share a crossing-row tableau
+    # relies on: two elements may not share a crossing-row tableau, which
+    # the guard sees as a shared Lehmer vector.  Reached once by handing
+    # the poset equal vectors and once through the build, with every
+    # element read as the first one's vector
     w = Permutation.parse("1432")
     real = cached_poset(w)
-    monkeypatch.setattr(poset_module, "theta", lambda d: real.thetas[0])
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
-        ChutePoset(w, real.elements[:2], ((), ()))
+        ChutePoset(w, real.elements[:2], (real.vectors[0],) * 2, ((), ()))
     assert exc.value.witness == {"w": "1432"}
+    monkeypatch.setattr(poset_module, "phi_vector", lambda d, v: real.vectors[0])
+    with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
+        enumerate_poset(w)
+    assert exc.value.witness == {"w": "1432"}
+
+
+def test_poset_needs_one_vector_per_element():
+    real = cached_poset(Permutation.parse("1432"))
+    with pytest.raises(ValueError, match="one Lehmer vector per element"):
+        ChutePoset(real.w, real.elements[:2], real.vectors[:1], ((), ()))
+
+
+def test_build_traces_each_element_once():
+    # the downward search traces each element once and reads its Lehmer
+    # vector off that routing; the poset itself traces nothing
+    w = Permutation.parse("12438765")
+    trace.cache_clear()
+    built = enumerate_poset(w)
+    assert trace.cache_info().misses == built.size == 3003
+    trace.cache_clear()
+    ChutePoset(w, built.elements, built.vectors, built._moves_up)
+    info = trace.cache_info()
+    assert info.hits + info.misses == 0
+
+
+def test_thetas_are_built_on_demand(monkeypatch):
+    # the checks, the Schubert sum and the DOT output never build the
+    # tableaux; asked for, they are theta of each element, built once
+    w = Permutation.parse("1432")
+    fresh = enumerate_poset(w)
+    for module in (verify_module, schubert_module):
+        real = module.cached_poset
+        monkeypatch.setattr(
+            module, "cached_poset", lambda v, real=real: fresh if v == w else real(v)
+        )
+    assert verify_module.run_checks(w).passed
+    schubert_module.schubert_from_pipedreams(w)
+    to_dot(fresh)
+    assert "thetas" not in vars(fresh) and "theta_index" not in vars(fresh)
+    eager = tuple(theta(d) for d in fresh.elements)
+    assert fresh.thetas == eager
+    assert fresh.theta_index == {t: k for k, t in enumerate(eager)}
+    assert fresh.thetas is fresh.thetas
 
 
 def test_dream_level_queries_match_index_queries():
