@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .pipedream import BUMP, CROSS, ELBOW, PipeDream, theta, trace
+from .pipedream import BUMP, CROSS, ELBOW, PipeDream, Routing, theta, trace
 from .tableaux import InversionsTableau, increment, increment_multiset
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChuteMove:
     """Rectangle rows top..bottom, columns left..right, plus the pipe pair
     crossing at the northeast corner before the move."""
@@ -141,11 +141,14 @@ def find_moves(dream: PipeDream) -> list[ChuteMove]:
     return out
 
 
-def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
+def find_inverse_moves(dream: PipeDream, routing: Routing | None = None) -> list[ChuteMove]:
     """All moves that produce this dream, sorted like ``find_moves``; one
     scan per southwest cross.  The pipe pair is read at the southwest
-    corner, where the moved crossing now sits."""
-    cross_pipes = trace(dream).cross_pipes
+    corner, where the moved crossing now sits, from the dream's routing:
+    ``trace(dream)`` unless the caller has it at hand."""
+    if routing is None:
+        routing = trace(dream)
+    cross_pipes = routing.cross_pipes
     out = []
     for b, row in enumerate(dream.rows, start=1):
         for l, tile in enumerate(row, start=1):

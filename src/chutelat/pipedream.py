@@ -33,6 +33,7 @@ __all__ = [
     "PipeDream",
     "CrossingRecord",
     "Routing",
+    "route",
     "trace",
     "is_reduced",
     "theta",
@@ -48,7 +49,7 @@ BUMP = "B"
 ELBOW = "E"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipeDream:
     """Immutable tile grid; row r is ``rows[r-1]``, a string over C/B/E."""
 
@@ -160,8 +161,7 @@ class Routing:
         return len(pairs) == len(self.crossings)
 
 
-@lru_cache(maxsize=8192)
-def trace(dream: PipeDream) -> Routing:
+def route(dream: PipeDream) -> Routing:
     """Route every pipe in one sweep of the rows from bottom to top.
 
     ``north[c]`` holds the pipe leaving column c of the row below and
@@ -196,6 +196,15 @@ def trace(dream: PipeDream) -> Routing:
     return Routing(Permutation(tuple(north[1:])), tuple(records), cross_pipes)
 
 
+@lru_cache(maxsize=8192)
+def trace(dream: PipeDream) -> Routing:
+    """``route(dream)``, cached.  The build does not fill this cache:
+    ``enumerate_poset`` routes each element once with ``route``, since
+    nothing reads a fiber's routings after its build, and caches only the
+    seed's, which it checks before the search."""
+    return route(dream)
+
+
 def is_reduced(dream: PipeDream) -> bool:
     """No pair of pipes crosses more than once."""
     return trace(dream).reduced
@@ -225,9 +234,12 @@ def phi(dream: PipeDream) -> LehmerTableau:
 _column_major = itemgetter(1, 0)
 
 
-def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
+def phi_vector(
+    dream: PipeDream, w: Permutation, routing: Routing | None = None
+) -> tuple[int, ...]:
     """``lehmer_vector(theta(dream), w)`` read straight off the dream's
-    routing, with no tableau built.
+    routing, ``trace(dream)`` unless the caller has it at hand, with no
+    tableau built.
 
     The checks of that route run first: the sizes agree, the dream is
     reduced and its crossing pairs are exactly the inversions of w (one
@@ -236,7 +248,9 @@ def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
     top as ``lehmer_vector`` does.  If a check fails, the tableau route
     runs instead, so every error keeps its type and message.
     """
-    crossings = trace(dream).crossings
+    if routing is None:
+        routing = trace(dream)
+    crossings = routing.crossings
     inv = w.inversions()
     if dream.n == w.n and len(crossings) == len(inv) and {rec[:2] for rec in crossings} == inv:
         out = []

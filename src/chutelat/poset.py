@@ -28,7 +28,18 @@ from functools import cached_property, lru_cache
 from . import chute
 from .errors import TheoremViolation
 from .perm import Permutation
-from .pipedream import BUMP, CROSS, ELBOW, PipeDream, is_reduced, phi, phi_vector, theta, trace
+from .pipedream import (
+    BUMP,
+    CROSS,
+    ELBOW,
+    PipeDream,
+    is_reduced,
+    phi,
+    phi_vector,
+    route,
+    theta,
+    trace,
+)
 from .tableaux import (
     InversionsTableau,
     delta_multiset,
@@ -147,11 +158,10 @@ class ChutePoset:
         self._down = tuple(down)
         covers_up = []
         covers_down = [[] for _ in range(size)]
-        for k in range(size):
-            row = tuple(
-                (mv, j) for (mv, j) in self._moves_up[k] if up[k] & down[j] == 0
-            )
-            covers_up.append(row)
+        for k, moves in enumerate(self._moves_up):
+            row = tuple((mv, j) for (mv, j) in moves if up[k] & down[j] == 0)
+            # a row that drops no move is stored once, as the move row
+            covers_up.append(moves if len(row) == len(moves) else row)
             for _mv, j in row:
                 covers_down[j].append(k)
         self._covers_up = tuple(covers_up)
@@ -384,9 +394,9 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     ``chute.find_moves`` returns.  The canonical depth of an element is its
     undirected distance from the seed over these edges, the layer an
     undirected search by moves and inverse moves would put it in.  Each
-    element's Lehmer vector is read off its routing right after its inverse
-    moves are found, while the routing is still cached, so the build traces
-    each element once whatever the fiber's size.
+    element is routed once, by ``route`` outside the ``trace`` cache, and
+    that routing is handed to both its inverse-move search and the read of
+    its Lehmer vector; it is dropped when the element's step ends.
 
     The seed's wiring and its having no up-move are re-checked at runtime;
     either failing means the seed construction itself is broken, so it
@@ -411,9 +421,9 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         up: list[list] = [[]]
         # dreams grows while it is walked, which makes it the BFS queue
         for k, d in enumerate(dreams):
-            moves = chute.find_inverse_moves(d)
-            # read while d's routing, traced just now, is still cached
-            vectors.append(phi_vector(d, w))
+            routing = route(d)
+            moves = chute.find_inverse_moves(d, routing)
+            vectors.append(phi_vector(d, w, routing))
             for mv in moves:
                 rows = chute.moved_rows(d, mv, undo=True)
                 j = ids.get(rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -34,9 +35,16 @@ def test_move_rejects_degenerate_rectangles():
 
 
 def test_move_json_round_trip():
+    # a frozen slotted value: equal moves compare and hash alike, no field
+    # can be set and there is no per-instance dict
     m = ChuteMove(1, 3, 2, 5, 3, 5)
-    assert ChuteMove.from_json(m.to_json()) == m
+    back = ChuteMove.from_json(m.to_json())
+    assert back == m and back is not m and hash(back) == hash(m)
+    assert len({m, back, ChuteMove(1, 3, 2, 5, 2, 5)}) == 2
     assert m.to_json() == {"rect": [1, 3, 2, 5], "pipes": [3, 5]}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.top = 2
+    assert not hasattr(m, "__dict__")
 
 
 def test_seed_has_no_up_moves():

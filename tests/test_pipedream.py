@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from chutelat import pipedream as pipedream_module
+from chutelat.chute import find_inverse_moves
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.poset import cached_poset
@@ -20,6 +22,7 @@ from chutelat.pipedream import (
     is_reduced,
     phi,
     phi_vector,
+    route,
     theta,
     trace,
     transpose,
@@ -236,13 +239,18 @@ def test_trace_matches_oracle_on_sampled_n7_and_12438765():
 
 def test_phi_vector_matches_the_tableau_route():
     # every element of every fiber of S_1..S_6, of the sampled n=7 fibers
-    # and of one n=8 fiber; the poset stores the same vectors
+    # and of one n=8 fiber; the poset stores the same vectors, and handed
+    # the dream's routing, phi_vector and find_inverse_moves give what
+    # their one-argument calls give
     ws = [Permutation(word) for n in range(1, 7) for word in itertools.permutations(range(1, n + 1))]
     ws += sampled_n7() + [Permutation.parse("12438765")]
     for w in ws:
         poset = cached_poset(w)
         for d, stored in zip(poset.elements, poset.vectors):
-            assert phi_vector(d, w) == lehmer_vector(theta(d), w) == stored, (w, d.rows)
+            routing = route(d)
+            assert phi_vector(d, w, routing) == phi_vector(d, w) == stored, (w, d.rows)
+            assert lehmer_vector(theta(d), w) == stored, (w, d.rows)
+            assert find_inverse_moves(d, routing) == find_inverse_moves(d), (w, d.rows)
 
 
 def _raised(call):
@@ -269,15 +277,22 @@ def test_phi_vector_fails_like_the_tableau_route(monkeypatch):
     for d, w, message in cases:
         got = _raised(lambda: phi_vector(d, w))
         assert got == _raised(lambda: lehmer_vector(theta(d), w)), (d.rows, w)
+        assert got == _raised(lambda: phi_vector(d, w, route(d))), (d.rows, w)
         assert got[0] is ValueError and message in got[1], got
+        assert find_inverse_moves(d, route(d)) == find_inverse_moves(d), d.rows
     # a routing whose crossings are the inversions of 321 but put pipes 1
     # and 3 and pipes 2 and 3 in the same row, 1, of column 3
     w = Permutation.parse("321")
+    only = cached_poset(w)
     records = (CrossingRecord(1, 2, 2, 1), CrossingRecord(1, 3, 1, 1), CrossingRecord(2, 3, 1, 2))
-    monkeypatch.setattr(pipedream_module, "trace", lambda d: Routing(w, records, {}))
+    fake = Routing(w, records, {})
+    monkeypatch.setattr(pipedream_module, "trace", lambda d: fake)
     d = PipeDream.all_bump(3)
     got = _raised(lambda: phi_vector(d, w))
     assert got == _raised(lambda: lehmer_vector(theta(d), w))
+    assert got == _raised(lambda: phi_vector(d, w, fake))
+    # a routing handed in is the one read, not trace's
+    assert phi_vector(d, w, route(only.elements[0])) == only.vectors[0]
     assert got == (ValueError, "not column-injective for 321: entry 1 repeats in column 3 (rows 1 and 2)")
 
 
@@ -347,9 +362,16 @@ def test_triforce_embed_wiring():
 
 
 def test_json_round_trip():
+    # a frozen slotted value: equal grids compare and hash alike, no field
+    # can be set and there is no per-instance dict
     d = PipeDream.from_crosses(4, {(1, 1), (1, 3), (3, 1)})
     blob = json.dumps(d.to_json())
-    assert PipeDream.from_json(json.loads(blob)) == d
+    back = PipeDream.from_json(json.loads(blob))
+    assert back == d and back is not d and hash(back) == hash(d)
+    assert len({d, back, PipeDream.all_bump(4)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.rows = PipeDream.all_bump(4).rows
+    assert not hasattr(d, "__dict__")
 
 
 @pytest.mark.parametrize("n", [True, 1.0, "1", None, 2])

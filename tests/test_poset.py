@@ -225,10 +225,14 @@ def test_glued_diamonds_are_not_a_polygon():
 
 
 def test_single_moves_all_covers_recorded():
-    # measured outcome at desk scale: no single move skips a level
+    # measured outcome at desk scale: no single move skips a level, so
+    # each row of covers is stored once, as the row of moves itself
     for n in (3, 4):
         for w in all_perms(n):
             assert single_moves_all_covers(cached_poset(w))
+    mid = cached_poset(Permutation.parse("1327654"))
+    assert single_moves_all_covers(mid)
+    assert all(mid.covers_up_idx(k) is mid._moves_up[k] for k in range(mid.size))
 
 
 def hand_built_361542(totals, targets):
@@ -255,10 +259,12 @@ def test_single_moves_all_covers_false_on_a_skipping_move():
     # the chain 0 -> 1 -> 2 plus the move 0 -> 2 that skips the middle
     skipping = hand_built_361542((0, 1, 2), ((1, 2), (2,), ()))
     assert skipping.covers_up_idx(0) == ((None, 1),)
+    assert all(skipping.covers_up_idx(k) is skipping._moves_up[k] for k in (1, 2))
     assert not single_moves_all_covers(skipping)
     # two three-step chains from bottom to top: every move is a cover
     hexagon = hand_built_361542((0, 1, 1, 2, 2, 3), ((1, 2), (3,), (4,), (5,), (5,), ()))
     assert single_moves_all_covers(hexagon)
+    assert all(hexagon.covers_up_idx(k) is hexagon._moves_up[k] for k in range(6))
 
 
 def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
@@ -272,7 +278,7 @@ def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         ChutePoset(w, real.elements[:2], (real.vectors[0],) * 2, ((), ()))
     assert exc.value.witness == {"w": "1432"}
-    monkeypatch.setattr(poset_module, "phi_vector", lambda d, v: real.vectors[0])
+    monkeypatch.setattr(poset_module, "phi_vector", lambda d, v, routing: real.vectors[0])
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         enumerate_poset(w)
     assert exc.value.witness == {"w": "1432"}
@@ -284,17 +290,24 @@ def test_poset_needs_one_vector_per_element():
         ChutePoset(real.w, real.elements[:2], real.vectors[:1], ((), ()))
 
 
-def test_build_traces_each_element_once():
-    # the downward search traces each element once and reads its Lehmer
-    # vector off that routing; the poset itself traces nothing
+def test_build_traces_each_element_once(monkeypatch):
+    # the downward search routes each element once, outside the trace
+    # cache, and hands that routing to its move search and its Lehmer
+    # vector; only the seed's routing may be left cached, and the poset
+    # itself routes nothing
     w = Permutation.parse("12438765")
+    routed = []
+    route = poset_module.route
+    monkeypatch.setattr(poset_module, "route", lambda d: routed.append(d) or route(d))
     trace.cache_clear()
     built = enumerate_poset(w)
-    assert trace.cache_info().misses == built.size == 3003
+    assert len(routed) == len(set(routed)) == built.size == 3003
+    assert trace.cache_info().currsize <= 1
+    routed.clear()
     trace.cache_clear()
     ChutePoset(w, built.elements, built.vectors, built._moves_up)
     info = trace.cache_info()
-    assert info.hits + info.misses == 0
+    assert not routed and info.hits + info.misses == 0
 
 
 def test_thetas_are_built_on_demand(monkeypatch):
