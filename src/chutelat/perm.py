@@ -42,7 +42,9 @@ class Permutation:
 
     @staticmethod
     def parse(text: str) -> "Permutation":
-        """Parse the text form; inverse of ``str``.
+        """Parse the text form; inverse of ``str``.  Only ASCII digits are
+        read: the whole text in digit form, each comma-separated part (give
+        or take surrounding spaces) in comma form.
 
         >>> Permutation.parse("361542").word
         (3, 6, 1, 5, 4, 2)
@@ -50,16 +52,10 @@ class Permutation:
         text = text.strip()
         if not text:
             raise ValueError("empty permutation text")
-        if "," in text:
-            try:
-                word = tuple(int(part) for part in text.split(","))
-            except ValueError:
-                raise ValueError(f"bad permutation text: {text!r}") from None
-        else:
-            if not text.isdigit():
-                raise ValueError(f"bad permutation text: {text!r}")
-            word = tuple(int(ch) for ch in text)
-        return Permutation(word)
+        parts = [part.strip() for part in text.split(",")] if "," in text else list(text)
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"bad permutation text: {text!r}")
+        return Permutation(tuple(int(part) for part in parts))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -76,10 +72,6 @@ class Permutation:
             inv[val - 1] = pos
         return Permutation(tuple(inv))
 
-    def position_of(self, value: int) -> int:
-        """Position of ``value`` in the word, i.e. inverse(value)."""
-        return self.word.index(value) + 1
-
     # Every tableau of a fiber asks for the same diagram; a small bound
     # keeps an S_n sweep from holding every permutation it visits.
     @lru_cache(maxsize=64)
@@ -87,7 +79,7 @@ class Permutation:
         """Value pairs (i, j), i < j, where i appears to the right of j.
 
         These index the boxes of the inversion diagram: (i, j) with i < j is
-        an inversion exactly when position_of(i) > position_of(j).  Cached
+        an inversion exactly when inverse()(i) > inverse()(j).  Cached
         per permutation; the result is immutable, so sharing it is safe.
         """
         pos = self.inverse().word
@@ -117,12 +109,6 @@ class Permutation:
             raise ValueError(f"cutoff {j} out of range 1..{self.n}")
         return Permutation(tuple(v for v in self.word if v <= j))
 
-    def hat(self) -> "Permutation":
-        """Drop the largest value n; companion of pipe-dream row deletion."""
-        if self.n < 2:
-            raise ValueError("hat needs n >= 2")
-        return self.delete_values_above(self.n - 1)
-
     def triforce(self) -> "Permutation":
         """Double the degree: fix 1..n and place the reversed complement of
         the word in positions n+1..2n.  The inversions of the result are a
@@ -131,8 +117,3 @@ class Permutation:
         top = list(range(1, n + 1))
         bottom = [2 * n + 1 - self.word[2 * n - i] for i in range(n + 1, 2 * n + 1)]
         return Permutation(tuple(top + bottom))
-
-    def descents(self) -> tuple[int, ...]:
-        """Positions r with word[r] > word[r+1]."""
-        w = self.word
-        return tuple(r for r in range(1, self.n) if w[r - 1] > w[r])

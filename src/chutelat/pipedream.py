@@ -40,7 +40,6 @@ __all__ = [
     "phi",
     "phi_vector",
     "transpose",
-    "hat_delete",
     "triforce_embed",
 ]
 
@@ -278,66 +277,6 @@ def transpose(dream: PipeDream) -> "PipeDream":
     return PipeDream(
         tuple("".join(row[r - 1] for row in rows[: n + 1 - r]) for r in range(1, n + 1))
     )
-
-
-def _pipe_row_boxes(dream: PipeDream, pipe: int) -> dict[int, list[tuple[int, int]]]:
-    """The boxes one pipe passes through, grouped by row, west to east."""
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    r, c, from_west = pipe, 1, True
-    while r:
-        by_row.setdefault(r, []).append((r, c))
-        # a pipe goes east out of a cross it entered from the west or a
-        # bump it entered from the south, and north out of everything else
-        if dream.rows[r - 1][c - 1] == (CROSS if from_west else BUMP):
-            c, from_west = c + 1, True
-        else:
-            r, from_west = r - 1, False
-    return by_row
-
-
-def hat_delete(dream: PipeDream) -> "PipeDream":
-    """Remove the trace of the last pipe: in every row, delete the rightmost
-    box the pipe n passes through and close the gap leftwards.  The result
-    is a dream of size n-1 whose wiring is the wiring of the input with its
-    largest value dropped."""
-    if not is_reduced(dream):
-        raise ValueError("row deletion needs a reduced dream")
-    n = dream.n
-    if n < 2:
-        raise ValueError("nothing left after deleting from size 1")
-    by_row = _pipe_row_boxes(dream, n)
-    new_rows = []
-    for r in range(1, n):
-        boxes = by_row.get(r)
-        if not boxes:
-            raise TheoremViolation(
-                f"pipe {n} misses row {r}",
-                witness={"dream": dream.to_json(), "pipe": n, "row": r},
-            )
-        tiles = [dream.tile(*b) for b in boxes]
-        if not (
-            tiles == [CROSS]
-            or (len(tiles) == 2 and tiles[0] == BUMP and tiles[1] in (BUMP, ELBOW))
-        ):
-            raise TheoremViolation(
-                f"pipe {n} occupies {boxes} in row {r} with tiles {tiles}; "
-                f"a reduced dream allows a single cross or a bump pair",
-                witness={"dream": dream.to_json(), "pipe": n, "row": r,
-                         "boxes": [list(b) for b in boxes]},
-            )
-        drop_col = max(c for (_, c) in boxes)
-        row = dream.rows[r - 1]
-        new_row = row[: drop_col - 1] + row[drop_col:]
-        # the box arriving at the new boundary is a bump or the old elbow
-        if new_row[-1] == BUMP:
-            new_row = new_row[:-1] + ELBOW
-        elif new_row[-1] != ELBOW:
-            raise TheoremViolation(
-                f"cross landed on the boundary in row {r}",
-                witness={"dream": dream.to_json(), "pipe": n, "row": r},
-            )
-        new_rows.append(new_row)
-    return PipeDream(tuple(new_rows))
 
 
 def triforce_embed(dream: PipeDream) -> "PipeDream":

@@ -533,7 +533,8 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
 
     A failed condition, or a nonempty difference with no incrementable box,
     raises TheoremViolation: both would contradict the structure theory
-    this package exists to check.  Incomparable inputs raise ValueError.
+    this package exists to check.  Incomparable inputs, and a start above
+    the target, raise ValueError.
     """
     w = t_from.w
     if t_to.w != w:
@@ -545,7 +546,9 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
     n = w.n
     delta = delta_multiset(t_from, t_to, w)
     if delta is None:
-        raise ValueError("tableaux are incomparable")
+        if delta_multiset(t_to, t_from, w) is None:
+            raise ValueError("tableaux are incomparable")
+        raise ValueError("the start lies strictly above the target; a path only goes up")
     steps: list[PathStep] = []
     t = t_from
     for _ in range(sum(delta.values()) + 1):
@@ -622,22 +625,20 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
 # output
 
 
-def to_dot(poset: ChutePoset, tooltips: bool = True) -> str:
+def to_dot(poset: ChutePoset) -> str:
     """Hasse diagram in DOT form, bottom-up.  Nodes carry their canonical
-    index; each cover edge is labeled with the pipe pair of its move."""
+    index and the dream's JSON as a tooltip; each cover edge is labeled
+    with the pipe pair of its move."""
     lines = [
         "digraph chutelat {",
         "  rankdir=BT;",
         '  node [shape=circle, fontsize=10];',
     ]
     for k, d in enumerate(poset.elements):
-        if tooltips:
-            # the compact JSON of d.to_json() with its quotes escaped; rows
-            # hold only C, B and E, so nothing else needs escaping
-            rows = ",".join(f'\\"{row}\\"' for row in d.rows)
-            lines.append(f'  {k} [tooltip="{{\\"n\\":{d.n},\\"rows\\":[{rows}]}}"];')
-        else:
-            lines.append(f"  {k};")
+        # the compact JSON of d.to_json() with its quotes escaped; rows hold
+        # only C, B and E, so nothing else needs escaping
+        rows = ",".join(f'\\"{row}\\"' for row in d.rows)
+        lines.append(f'  {k} [tooltip="{{\\"n\\":{d.n},\\"rows\\":[{rows}]}}"];')
     for k in range(poset.size):
         for mv, j in poset.covers_up_idx(k):
             lines.append(f'  {k} -> {j} [label="({mv.pipe_lo},{mv.pipe_hi})"];')

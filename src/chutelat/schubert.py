@@ -92,9 +92,6 @@ class IntPolynomial:
         """Value at x1 = x2 = ... = 1."""
         return sum(coeff for _exps, coeff in self.terms)
 
-    def is_positive(self) -> bool:
-        return all(coeff > 0 for _exps, coeff in self.terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -155,28 +152,22 @@ def divided_difference(poly: IntPolynomial, r: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _oracle_by_word(word: tuple[int, ...], rule: str) -> IntPolynomial:
-    v = Permutation(word)
-    n = v.n
-    ascents = [r for r in range(1, n) if v.word[r - 1] < v.word[r]]
-    if not ascents:
-        return IntPolynomial.from_dict(
-            {tuple(range(n - 1, 0, -1)): 1} if n > 1 else {(): 1}
-        )
-    r = ascents[0] if rule == "first" else ascents[-1]
-    lst = list(word)
-    lst[r - 1], lst[r] = lst[r], lst[r - 1]
-    return divided_difference(_oracle_by_word(tuple(lst), rule), r)
+def _oracle_by_word(word: tuple[int, ...]) -> IntPolynomial:
+    n = len(word)
+    for r in range(1, n):
+        if word[r - 1] < word[r]:
+            lst = list(word)
+            lst[r - 1], lst[r] = lst[r], lst[r - 1]
+            return divided_difference(_oracle_by_word(tuple(lst)), r)
+    return IntPolynomial.from_dict({tuple(range(n - 1, 0, -1)): 1} if n > 1 else {(): 1})
 
 
-def schubert_oracle(w: Permutation, ascent_rule: str = "first") -> IntPolynomial:
+def schubert_oracle(w: Permutation) -> IntPolynomial:
     """Divided-difference route, independent of any pipe dream code: start
     from the staircase monomial of the longest element and walk down along
-    ascents.  The wiring convention used here reads exit labels, so the
-    recursion runs on the inverse permutation."""
-    if ascent_rule not in ("first", "last"):
-        raise ValueError(f"unknown ascent rule {ascent_rule!r}")
-    return _oracle_by_word(w.inverse().word, ascent_rule)
+    first ascents.  The wiring convention used here reads exit labels, so
+    the recursion runs on the inverse permutation."""
+    return _oracle_by_word(w.inverse().word)
 
 
 def schubert_from_pipedreams(w: Permutation) -> IntPolynomial:

@@ -23,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import TheoremViolation
 from .perm import Permutation
 
 __all__ = [
@@ -32,11 +31,7 @@ __all__ = [
     "LehmerTableau",
     "ValidationResult",
     "validate_inversions_tableau",
-    "is_balanced",
     "lambda_shape_balanced",
-    "hook_boxes",
-    "hook_balanced",
-    "balance_equivalence_check",
     "lehmer_vector",
     "lehmer_form",
     "lehmer_form_inverse",
@@ -45,7 +40,6 @@ __all__ = [
     "delta_multiset",
     "restrict",
     "lehmer_leq",
-    "lehmer_max",
 ]
 
 
@@ -105,10 +99,6 @@ class StairTableau:
 
     def __hash__(self):
         return hash(self.rows)
-
-    @staticmethod
-    def zero(n: int) -> "StairTableau":
-        return StairTableau(tuple(tuple(0 for _ in range(n - i)) for i in range(1, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,20 +207,6 @@ def lehmer_leq(a: LehmerTableau, b: LehmerTableau) -> bool:
     return all(x <= y for x, y in zip(a.as_vector(), b.as_vector()))
 
 
-def lehmer_max(a: LehmerTableau, b: LehmerTableau) -> LehmerTableau:
-    """Componentwise maximum, the candidate join in the Lehmer picture."""
-    if a.w != b.w:
-        raise ValueError("Lehmer tableaux for different permutations")
-    rows = tuple(
-        tuple(
-            None if x is None else max(x, y)
-            for x, y in zip(ra, rb)
-        )
-        for ra, rb in zip(a.rows, b.rows)
-    )
-    return LehmerTableau(a.w, rows)
-
-
 # ---------------------------------------------------------------------------
 # balance
 
@@ -241,48 +217,6 @@ def lambda_shape_balanced(t: StairTableau, i: int, j: int, k: int) -> bool:
         raise ValueError(f"({i},{j},{k}) is not a shape for n={t.n}")
     lo, hi = sorted((t.get(i, j), t.get(j, k)))
     return lo <= t.get(i, k) <= hi
-
-
-def is_balanced(t: StairTableau) -> bool:
-    n = t.n
-    return all(
-        lambda_shape_balanced(t, i, j, k)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        for k in range(j + 1, n + 1)
-    )
-
-
-def hook_boxes(n: int, i: int, j: int) -> list[tuple[int, int]]:
-    """The boxes of column j between rows i and j, the boxes of row i between
-    columns i and j, and the corner (i, j); always of odd cardinality."""
-    if not 1 <= i < j <= n:
-        raise ValueError(f"({i},{j}) is not a box for n={n}")
-    arm = [(i, jj) for jj in range(i + 1, j)]
-    leg = [(ii, j) for ii in range(i + 1, j)]
-    return arm + leg + [(i, j)]
-
-
-def hook_balanced(t: StairTableau, i: int, j: int) -> bool:
-    """The corner entry equals the median of the hook's entries."""
-    entries = sorted(t.get(*b) for b in hook_boxes(t.n, i, j))
-    if len(entries) % 2 != 1:
-        raise ValueError(f"hook of ({i},{j}) has {len(entries)} boxes; a median needs an odd count")
-    return t.get(i, j) == entries[len(entries) // 2]
-
-
-def balance_equivalence_check(t: StairTableau) -> bool:
-    """Balance can be read off shapes or hooks; both answers must agree."""
-    by_shapes = is_balanced(t)
-    by_hooks = all(
-        hook_balanced(t, i, j) for i in range(1, t.n) for j in range(i + 1, t.n + 1)
-    )
-    if by_shapes != by_hooks:
-        raise TheoremViolation(
-            "shape balance and hook balance disagree",
-            witness={"rows": t.rows, "shapes": by_shapes, "hooks": by_hooks},
-        )
-    return by_shapes
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from chutelat.poset import (
 from chutelat.schubert import schubert_from_pipedreams, schubert_oracle
 from chutelat.tableaux import (
     InversionsTableau,
-    hook_balanced,
-    hook_boxes,
     increment_multiset,
     lambda_shape_balanced,
     lehmer_form,
@@ -33,6 +31,7 @@ from chutelat.tableaux import (
     validate_inversions_tableau,
 )
 from chutelat.verify import run_checks
+from test_tableaux import hook_balanced, hook_boxes
 
 
 _CAPSYS = None

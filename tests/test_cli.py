@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chutelat
 from chutelat.cli import main
 from chutelat.perm import Permutation
 from chutelat.pipedream import PipeDream
@@ -176,6 +179,18 @@ def test_path_incomparable(capsys, tmp_path):
     assert out == "incomparable\n"
 
 
+def test_path_from_above_exits_2(capsys, tmp_path):
+    # max >= min on 2143, so the pair is comparable: there is no upward
+    # path from the top to the bottom, and saying "incomparable" was wrong
+    p = cached_poset(Permutation.parse("2143"))
+    src = dream_file(tmp_path, "top.json", p.elements[0])
+    dst = dream_file(tmp_path, "bottom.json", p.elements[2])
+    code, out, err = run(capsys, "path", "2143", "--from", src, "--to", dst)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the start lies strictly above the target; a path only goes up\n"
+
+
 def test_path_wrong_fiber(capsys, tmp_path):
     p = cached_poset(Permutation.parse("2143"))
     src = dream_file(tmp_path, "a.json", p.elements[0])
@@ -225,12 +240,16 @@ def test_info_skips_large_enumeration(capsys):
 
 
 def test_repeat_invocations_identical_bytes():
+    # the child imports the package this process imported, also when only
+    # pytest's own pythonpath setting put it on the path
+    src = str(Path(chutelat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "chutelat", "enumerate", "1432", "--json"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     cmd = [sys.executable, "-m", "chutelat", "schubert", "2143"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.stdout == b.stdout != b""

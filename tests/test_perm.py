@@ -14,6 +14,7 @@ def test_parse_commas():
     w = Permutation.parse("3,6,1,5,4,2,12,7,8,9,10,11")
     assert w.n == 12
     assert w.word[6] == 12
+    assert Permutation.parse(" 1, 3 ,2 ") == Permutation.parse("132")
 
 
 def test_str_round_trip():
@@ -26,10 +27,25 @@ def test_str_round_trip():
             assert Permutation.parse(str(w)) == w
 
 
-@pytest.mark.parametrize("bad", ["", "10", "132x", "1,2,2", "0,1"])
+# "10" reads as digits 1, 0 and 0 is out of range; the last four are text
+# that int() reads (a non-ASCII digit, a sign, an underscore, a superscript)
+# and str never writes
+_PARSE_ERRORS = {
+    "": "empty permutation text",
+    "10": "not a permutation",
+    "132x": "bad permutation text",
+    "1,2,2": "not a permutation",
+    "0,1": "not a permutation",
+    "\u0662\u0661": "bad permutation text",
+    "1,+3,2": "bad permutation text",
+    "2,1_0,3,4,5,6,7,8,9,1": "bad permutation text",
+    "1\u00b2": "bad permutation text",
+}
+
+
+@pytest.mark.parametrize("bad", list(_PARSE_ERRORS))
 def test_parse_rejects(bad):
-    # "10" reads as digits 1, 0 and 0 is out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_PARSE_ERRORS[bad]):
         Permutation.parse(bad)
 
 
@@ -43,8 +59,8 @@ def test_not_a_permutation():
 def test_call_and_position_of():
     w = Permutation.parse("361542")
     assert w(2) == 6
-    assert w.position_of(6) == 2
     assert w.inverse()(6) == 2
+    assert all(w(w.inverse()(v)) == v for v in range(1, 7))
 
 
 def test_inverse_involution():
@@ -98,7 +114,7 @@ def test_delete_values_above():
     w = Permutation.parse("361542")
     assert w.delete_values_above(4).word == (3, 1, 4, 2)
     assert w.delete_values_above(6) == w
-    assert w.hat().word == (3, 1, 5, 4, 2)
+    assert w.delete_values_above(5).word == (3, 1, 5, 4, 2)
 
 
 def test_triforce_361542():
@@ -113,8 +129,3 @@ def test_triforce_inversions_reflect():
         m = 2 * w.n + 1
         reflected = frozenset((m - j, m - i) for (i, j) in w.inversions())
         assert t.inversions() == reflected
-
-
-def test_descents():
-    assert Permutation.parse("361542").descents() == (2, 4, 5)
-    assert Permutation.identity(5).descents() == ()

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -17,8 +18,6 @@ from chutelat.pipedream import (
     CrossingRecord,
     PipeDream,
     Routing,
-    _pipe_row_boxes,
-    hat_delete,
     is_reduced,
     phi,
     phi_vector,
@@ -28,7 +27,7 @@ from chutelat.pipedream import (
     transpose,
     triforce_embed,
 )
-from chutelat.tableaux import lehmer_vector
+from chutelat.tableaux import lehmer_vector, restrict
 from test_lattice_oracle import sampled_n7
 
 
@@ -296,6 +295,70 @@ def test_phi_vector_fails_like_the_tableau_route(monkeypatch):
     assert got == (ValueError, "not column-injective for 321: entry 1 repeats in column 3 (rows 1 and 2)")
 
 
+# Row deletion, a lemma no check runs: deleting the last pipe of a dream in
+# PD(w) gives a dream in PD(w with n dropped).
+
+
+def _pipe_row_boxes(dream: PipeDream, pipe: int) -> dict[int, list[tuple[int, int]]]:
+    """The boxes one pipe passes through, grouped by row, west to east."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    r, c, from_west = pipe, 1, True
+    while r:
+        by_row.setdefault(r, []).append((r, c))
+        # a pipe goes east out of a cross it entered from the west or a
+        # bump it entered from the south, and north out of everything else
+        if dream.rows[r - 1][c - 1] == (CROSS if from_west else BUMP):
+            c, from_west = c + 1, True
+        else:
+            r, from_west = r - 1, False
+    return by_row
+
+
+def hat_delete(dream: PipeDream) -> PipeDream:
+    """Remove the trace of the last pipe: in every row, delete the rightmost
+    box the pipe n passes through and close the gap leftwards.  The result
+    is a dream of size n-1 whose wiring is the wiring of the input with its
+    largest value dropped."""
+    if not is_reduced(dream):
+        raise ValueError("row deletion needs a reduced dream")
+    n = dream.n
+    if n < 2:
+        raise ValueError("nothing left after deleting from size 1")
+    by_row = _pipe_row_boxes(dream, n)
+    new_rows = []
+    for r in range(1, n):
+        boxes = by_row.get(r)
+        if not boxes:
+            raise TheoremViolation(
+                f"pipe {n} misses row {r}",
+                witness={"dream": dream.to_json(), "pipe": n, "row": r},
+            )
+        tiles = [dream.tile(*b) for b in boxes]
+        if not (
+            tiles == [CROSS]
+            or (len(tiles) == 2 and tiles[0] == BUMP and tiles[1] in (BUMP, ELBOW))
+        ):
+            raise TheoremViolation(
+                f"pipe {n} occupies {boxes} in row {r} with tiles {tiles}; "
+                f"a reduced dream allows a single cross or a bump pair",
+                witness={"dream": dream.to_json(), "pipe": n, "row": r,
+                         "boxes": [list(b) for b in boxes]},
+            )
+        drop_col = max(c for (_, c) in boxes)
+        row = dream.rows[r - 1]
+        new_row = row[: drop_col - 1] + row[drop_col:]
+        # the box arriving at the new boundary is a bump or the old elbow
+        if new_row[-1] == BUMP:
+            new_row = new_row[:-1] + ELBOW
+        elif new_row[-1] != ELBOW:
+            raise TheoremViolation(
+                f"cross landed on the boundary in row {r}",
+                witness={"dream": dream.to_json(), "pipe": n, "row": r},
+            )
+        new_rows.append(new_row)
+    return PipeDream(tuple(new_rows))
+
+
 def test_pipe_row_boxes_match_oracle_path_s1_to_s6():
     for n in range(1, 7):
         for word in itertools.permutations(range(1, n + 1)):
@@ -314,7 +377,21 @@ def test_hat_delete():
     assert w == Permutation.parse("231")
     h = hat_delete(d)
     assert h.n == 2
-    assert trace(h).wiring == w.hat()
+    assert trace(h).wiring == w.delete_values_above(w.n - 1)
+
+
+def test_hat_delete_maps_each_fiber_onto_the_smaller_one_s4_to_s6():
+    # on all 6,514 dreams of S_4..S_6: PD(w) goes onto PD(w-hat), and the
+    # crossing-row tableau of the image is the input's with column n cut
+    for n in range(4, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            w = Permutation(word)
+            images = set()
+            for d in cached_poset(w).elements:
+                h = hat_delete(d)
+                assert theta(h) == restrict(theta(d), n - 1), d.rows
+                images.add(h)
+            assert images == set(cached_poset(w.delete_values_above(n - 1)).elements), word
 
 
 def _unvalidated(rows):
@@ -341,7 +418,7 @@ def test_hat_delete_guards_are_violations(monkeypatch, rows, message):
     # row 1 is B C E: the stub hands hat_delete pipe-3 boxes that no real
     # trace produces, one guard per case
     d = PipeDream.from_crosses(3, {(1, 2)})
-    monkeypatch.setattr(pipedream_module, "_pipe_row_boxes", lambda dream, pipe: rows)
+    monkeypatch.setattr(sys.modules[__name__], "_pipe_row_boxes", lambda dream, pipe: rows)
     with pytest.raises(TheoremViolation, match=message) as exc:
         hat_delete(d)
     assert exc.value.witness["dream"] == d.to_json()

@@ -1,10 +1,10 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from chutelat import tableaux as tableaux_module
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import PipeDream, theta
@@ -13,18 +13,13 @@ from chutelat.tableaux import (
     InversionsTableau,
     LehmerTableau,
     StairTableau,
-    balance_equivalence_check,
     delta_multiset,
-    hook_balanced,
-    hook_boxes,
     increment,
     increment_multiset,
-    is_balanced,
     lambda_shape_balanced,
     lehmer_form,
     lehmer_form_inverse,
     lehmer_leq,
-    lehmer_max,
     lehmer_vector,
     restrict,
     validate_inversions_tableau,
@@ -44,6 +39,52 @@ def all_thetas(n):
         poset = cached_poset(Permutation(word))
         for t in poset.thetas:
             yield t
+
+
+# Oracles of the hook form of balance, a lemma no check runs:
+# ``validate_inversions_tableau`` reads balance off the lambda shapes only.
+
+
+def is_balanced(t: StairTableau) -> bool:
+    n = t.n
+    return all(
+        lambda_shape_balanced(t, i, j, k)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        for k in range(j + 1, n + 1)
+    )
+
+
+def hook_boxes(n: int, i: int, j: int) -> list[tuple[int, int]]:
+    """The boxes of column j between rows i and j, the boxes of row i between
+    columns i and j, and the corner (i, j); always of odd cardinality."""
+    if not 1 <= i < j <= n:
+        raise ValueError(f"({i},{j}) is not a box for n={n}")
+    arm = [(i, jj) for jj in range(i + 1, j)]
+    leg = [(ii, j) for ii in range(i + 1, j)]
+    return arm + leg + [(i, j)]
+
+
+def hook_balanced(t: StairTableau, i: int, j: int) -> bool:
+    """The corner entry equals the median of the hook's entries."""
+    entries = sorted(t.get(*b) for b in hook_boxes(t.n, i, j))
+    if len(entries) % 2 != 1:
+        raise ValueError(f"hook of ({i},{j}) has {len(entries)} boxes; a median needs an odd count")
+    return t.get(i, j) == entries[len(entries) // 2]
+
+
+def balance_equivalence_check(t: StairTableau) -> bool:
+    """Balance can be read off shapes or hooks; both answers must agree."""
+    by_shapes = is_balanced(t)
+    by_hooks = all(
+        hook_balanced(t, i, j) for i in range(1, t.n) for j in range(i + 1, t.n + 1)
+    )
+    if by_shapes != by_hooks:
+        raise TheoremViolation(
+            "shape balance and hook balance disagree",
+            witness={"rows": t.rows, "shapes": by_shapes, "hooks": by_hooks},
+        )
+    return by_shapes
 
 
 def test_stair_shape_validation():
@@ -92,16 +133,18 @@ def test_fixture_balance_facts():
 
 
 def test_balance_equivalence_on_fiber():
-    # hooks balanced iff lambda shapes balanced, and theta images satisfy both
-    for t in all_thetas(4):
-        assert balance_equivalence_check(t)
-        assert is_balanced(t)
+    # hooks balanced iff lambda shapes balanced, and theta images satisfy
+    # both, on every dream of S_4..S_6
+    for n in range(4, 7):
+        for t in all_thetas(n):
+            assert balance_equivalence_check(t), t.rows
+            assert is_balanced(t), t.rows
 
 
 def test_hook_balanced_rejects_even_hook(monkeypatch):
     # hook_boxes always returns an odd count; a broken one must not slip
     # through as a wrong median, with or without -O
-    monkeypatch.setattr(tableaux_module, "hook_boxes", lambda n, i, j: [(i, j), (i - 1, j)])
+    monkeypatch.setattr(sys.modules[__name__], "hook_boxes", lambda n, i, j: [(i, j), (i - 1, j)])
     with pytest.raises(ValueError, match="odd count"):
         hook_balanced(T361542, 2, 6)
 
@@ -200,7 +243,7 @@ def test_lehmer_round_trip_all_s4():
         assert isinstance(back, InversionsTableau)
 
 
-def test_lehmer_leq_and_max():
+def test_lehmer_leq():
     w = Permutation.parse("2143")
     poset = cached_poset(w)
     Ls = [lehmer_form(t, w) for t in poset.thetas]
@@ -208,7 +251,6 @@ def test_lehmer_leq_and_max():
     top = max(Ls, key=lambda L: sum(L.as_vector()))
     assert lehmer_leq(bot, top)
     assert not lehmer_leq(top, bot)
-    assert lehmer_max(bot, top) == top
     with pytest.raises(ValueError):
         lehmer_leq(bot, lehmer_form(T361542, T361542.w))
 
