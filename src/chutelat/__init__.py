@@ -2,7 +2,7 @@
 structure theory."""
 
 from .chute import ChuteMove, apply, check_increment_correspondence, find_moves, inverse_apply
-from .errors import TheoremViolation
+from .errors import Incomparable, TheoremViolation
 from .perm import Permutation
 from .pipedream import PipeDream, is_reduced, phi, theta, trace, transpose
 from .poset import (
@@ -37,6 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChuteMove",
     "ChutePoset",
+    "Incomparable",
     "IntPolynomial",
     "Interval",
     "InversionsTableau",

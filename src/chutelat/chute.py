@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import TheoremViolation
-from .pipedream import BUMP, CROSS, ELBOW, PipeDream, Routing, theta, trace
+from .pipedream import BUMP, CROSS, ELBOW, PipeDream, theta, trace
 from .tableaux import InversionsTableau, increment, increment_multiset
 
 __all__ = [
@@ -141,14 +141,11 @@ def find_moves(dream: PipeDream) -> list[ChuteMove]:
     return out
 
 
-def find_inverse_moves(dream: PipeDream, routing: Routing | None = None) -> list[ChuteMove]:
+def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
     """All moves that produce this dream, sorted like ``find_moves``; one
     scan per southwest cross.  The pipe pair is read at the southwest
-    corner, where the moved crossing now sits, from the dream's routing:
-    ``trace(dream)`` unless the caller has it at hand."""
-    if routing is None:
-        routing = trace(dream)
-    cross_pipes = routing.cross_pipes
+    corner, where the moved crossing now sits."""
+    cross_pipes = trace(dream).cross_pipes
     out = []
     for b, row in enumerate(dream.rows, start=1):
         for l, tile in enumerate(row, start=1):
@@ -240,12 +237,13 @@ def check_increment_correspondence(dream: PipeDream, move: ChuteMove) -> Increme
     (x0, y0); and q0 appears nowhere in column y0 before the move.  Any
     failure raises TheoremViolation carrying the report.
     """
+    # each dream's two reads are consecutive, so each is routed once
     t1 = theta(dream)
     after_dream = apply(dream, move)
-    t2 = theta(after_dream)
-    x0, y0 = move.pipes
     y_before = vertical_pipes(dream, move)
+    t2 = theta(after_dream)
     y_after = vertical_pipes(after_dream, move)
+    x0, y0 = move.pipes
     if any(y <= y0 for y in y_before):
         raise TheoremViolation(
             f"vertical pipe label not above {y0}: {y_before}",

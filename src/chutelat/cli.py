@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import TheoremViolation
+from .errors import Incomparable, TheoremViolation
 from .perm import Permutation
 from .pipedream import PipeDream, theta, trace
 from .poset import cached_poset, chute_path, to_dot
@@ -120,16 +120,17 @@ def _cmd_path(args) -> int:
     w = Permutation.parse(args.perm)
     d_from = _load_dream(args.src)
     d_to = _load_dream(args.dst)
+    thetas = []
     for d in (d_from, d_to):
+        # wiring and theta back to back, so each dream is routed once
         if trace(d).wiring != w:
             raise ValueError(f"dream does not belong to {w}")
+        thetas.append(theta(d))
     try:
-        steps = chute_path(theta(d_from), theta(d_to))
-    except ValueError as exc:
-        if "incomparable" in str(exc):
-            print("incomparable")
-            return 0
-        raise
+        steps = chute_path(*thetas)
+    except Incomparable:
+        print("incomparable")
+        return 0
     print(json.dumps([s.to_json() for s in steps], separators=(",", ":")))
     return 0
 

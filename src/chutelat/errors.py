@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["TheoremViolation"]
+__all__ = ["Incomparable", "TheoremViolation"]
 
 
 class TheoremViolation(Exception):
@@ -17,3 +17,8 @@ class TheoremViolation(Exception):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class Incomparable(ValueError):
+    """Two elements were asked for a path between them, and neither lies
+    below the other."""

@@ -16,24 +16,27 @@ when no two pipes cross twice; the reduced dreams with wiring w form PD(w).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import TheoremViolation
 from .perm import Permutation
-from .tableaux import InversionsTableau, LehmerTableau, _check_json_n, lehmer_form, lehmer_vector
+from .tableaux import (
+    InversionsTableau,
+    LehmerTableau,
+    _check_json_n,
+    _relabel,
+    _support,
+    lehmer_form,
+    lehmer_vector,
+)
 
 __all__ = [
     "CROSS",
     "BUMP",
     "ELBOW",
     "PipeDream",
-    "CrossingRecord",
     "Routing",
-    "route",
     "trace",
     "is_reduced",
     "theta",
@@ -135,32 +138,23 @@ class PipeDream:
         )
 
 
-class CrossingRecord(NamedTuple):
-    """Two pipes crossing at a box; lo < hi are the pipe labels."""
-
-    pipe_lo: int
-    pipe_hi: int
-    row: int
-    col: int
-
-
 @dataclass(eq=False)
 class Routing:
     """Everything the tracer learns in one pass over a dream."""
 
     wiring: Permutation
-    crossings: tuple[CrossingRecord, ...]
     # cross box -> (pipe passing west-to-east, pipe passing south-to-north)
     cross_pipes: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
 
     @property
     def reduced(self) -> bool:
         """No pair of pipes crosses more than once."""
-        pairs = {(rec.pipe_lo, rec.pipe_hi) for rec in self.crossings}
-        return len(pairs) == len(self.crossings)
+        pairs = {(h, v) if h < v else (v, h) for h, v in self.cross_pipes.values()}
+        return len(pairs) == len(self.cross_pipes)
 
 
-def route(dream: PipeDream) -> Routing:
+@lru_cache(maxsize=1)
+def trace(dream: PipeDream) -> Routing:
     """Route every pipe in one sweep of the rows from bottom to top.
 
     ``north[c]`` holds the pipe leaving column c of the row below and
@@ -169,19 +163,21 @@ def route(dream: PipeDream) -> Routing:
     ``west`` north.  Total on every C/B filling, reduced or not: each box
     is visited once.  A pipe entering an elbow from the south, which only
     an elbow ``PipeDream`` rejects allows, is a TheoremViolation.
+
+    The cache holds one dream: every caller that reads a dream more than
+    once does so in consecutive calls (the build's move search and Lehmer
+    vector, ``theta`` after ``is_reduced``), and a fiber's routings are
+    not kept after its build.
     """
     n = dream.n
     north = [0] * (n + 1)
     cross_pipes = {}
-    records = []
     for r in range(n, 0, -1):
         west = r
         for c, t in enumerate(dream.rows[r - 1], start=1):
             south = north[c]
             if t == CROSS:
                 cross_pipes[(r, c)] = (west, south)
-                lo, hi = (west, south) if west < south else (south, west)
-                records.append(CrossingRecord(lo, hi, r, c))
             elif t == BUMP:
                 north[c], west = west, south
             elif south:
@@ -191,17 +187,7 @@ def route(dream: PipeDream) -> Routing:
                 )
             else:
                 north[c] = west
-    records.sort()
-    return Routing(Permutation(tuple(north[1:])), tuple(records), cross_pipes)
-
-
-@lru_cache(maxsize=8192)
-def trace(dream: PipeDream) -> Routing:
-    """``route(dream)``, cached.  The build does not fill this cache:
-    ``enumerate_poset`` routes each element once with ``route``, since
-    nothing reads a fiber's routings after its build, and caches only the
-    seed's, which it checks before the search."""
-    return route(dream)
+    return Routing(Permutation(tuple(north[1:])), cross_pipes)
 
 
 def is_reduced(dream: PipeDream) -> bool:
@@ -217,8 +203,9 @@ def theta(dream: PipeDream) -> InversionsTableau:
         raise ValueError("crossing-row tableau needs a reduced dream")
     n = dream.n
     rows = [[0] * (n - i) for i in range(1, n)]
-    for rec in routing.crossings:
-        rows[rec.pipe_lo - 1][rec.pipe_hi - rec.pipe_lo - 1] = rec.row
+    for (r, _c), (h, v) in routing.cross_pipes.items():
+        lo, hi = (h, v) if h < v else (v, h)
+        rows[lo - 1][hi - lo - 1] = r
     return InversionsTableau(tuple(tuple(r) for r in rows), routing.wiring)
 
 
@@ -228,42 +215,27 @@ def phi(dream: PipeDream) -> LehmerTableau:
     return lehmer_form(t, t.w)
 
 
-# crossing records in (column, row) order: box (pipe_lo, pipe_hi) of the
-# crossing-row tableau sits in column pipe_hi and row pipe_lo
-_column_major = itemgetter(1, 0)
+def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
+    """``lehmer_vector(theta(dream), w)`` read straight off
+    ``trace(dream)``, with no tableau built.
 
-
-def phi_vector(
-    dream: PipeDream, w: Permutation, routing: Routing | None = None
-) -> tuple[int, ...]:
-    """``lehmer_vector(theta(dream), w)`` read straight off the dream's
-    routing, ``trace(dream)`` unless the caller has it at hand, with no
-    tableau built.
-
-    The checks of that route run first: the sizes agree, the dream is
+    The checks of ``lehmer_vector`` run first: the sizes agree, the dream is
     reduced and its crossing pairs are exactly the inversions of w (one
-    record per inversion and no other pair), and the crossing rows are
+    crossing per inversion and no other pair), and the crossing rows are
     distinct within each column.  Each column is then relabeled bottom to
-    top as ``lehmer_vector`` does.  If a check fails, the tableau route
-    runs instead, so every error keeps its type and message.
+    top by ``tableaux._relabel``, as ``lehmer_vector`` does.  If a check
+    fails, ``lehmer_vector(theta(dream), w)`` runs instead, so every error
+    keeps its type and message.
     """
-    if routing is None:
-        routing = trace(dream)
-    crossings = routing.crossings
+    cross_pipes = trace(dream).cross_pipes
     inv = w.inversions()
-    if dream.n == w.n and len(crossings) == len(inv) and {rec[:2] for rec in crossings} == inv:
-        out = []
-        column, below = 0, []
-        for _lo, hi, row, _col in sorted(crossings, key=_column_major):
-            if hi != column:
-                column, below = hi, []
-            at = bisect_left(below, row)
-            if at < len(below) and below[at] == row:
-                break
-            out.append(row - 1 - at)
-            below.insert(at, row)
-        else:
-            return tuple(out)
+    if dream.n == w.n and len(cross_pipes) == len(inv):
+        # box (lo, hi) of the crossing-row tableau holds the crossing row
+        entries = {((h, v) if h < v else (v, h)): r for (r, _c), (h, v) in cross_pipes.items()}
+        if entries.keys() == inv:
+            vector = _relabel((j, entries[i, j]) for i, j in _support(w))
+            if vector is not None:
+                return vector
     return lehmer_vector(theta(dream), w)
 
 

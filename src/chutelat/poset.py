@@ -26,7 +26,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 from . import chute
-from .errors import TheoremViolation
+from .errors import Incomparable, TheoremViolation
 from .perm import Permutation
 from .pipedream import (
     BUMP,
@@ -36,7 +36,6 @@ from .pipedream import (
     is_reduced,
     phi,
     phi_vector,
-    route,
     theta,
     trace,
 )
@@ -394,9 +393,9 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     ``chute.find_moves`` returns.  The canonical depth of an element is its
     undirected distance from the seed over these edges, the layer an
     undirected search by moves and inverse moves would put it in.  Each
-    element is routed once, by ``route`` outside the ``trace`` cache, and
-    that routing is handed to both its inverse-move search and the read of
-    its Lehmer vector; it is dropped when the element's step ends.
+    element is routed once: its inverse-move search and the read of its
+    Lehmer vector are consecutive calls, so the second finds the routing
+    in ``trace``'s one-entry cache, and the next element's replaces it.
 
     The seed's wiring and its having no up-move are re-checked at runtime;
     either failing means the seed construction itself is broken, so it
@@ -421,9 +420,9 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         up: list[list] = [[]]
         # dreams grows while it is walked, which makes it the BFS queue
         for k, d in enumerate(dreams):
-            routing = route(d)
-            moves = chute.find_inverse_moves(d, routing)
-            vectors.append(phi_vector(d, w, routing))
+            # phi_vector reads the routing find_inverse_moves left in trace
+            moves = chute.find_inverse_moves(d)
+            vectors.append(phi_vector(d, w))
             for mv in moves:
                 rows = chute.moved_rows(d, mv, undo=True)
                 j = ids.get(rows)
@@ -533,8 +532,8 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
 
     A failed condition, or a nonempty difference with no incrementable box,
     raises TheoremViolation: both would contradict the structure theory
-    this package exists to check.  Incomparable inputs, and a start above
-    the target, raise ValueError.
+    this package exists to check.  Incomparable inputs raise
+    ``Incomparable``, and a start above the target raises ValueError.
     """
     w = t_from.w
     if t_to.w != w:
@@ -547,12 +546,11 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
     delta = delta_multiset(t_from, t_to, w)
     if delta is None:
         if delta_multiset(t_to, t_from, w) is None:
-            raise ValueError("tableaux are incomparable")
+            raise Incomparable("tableaux are incomparable")
         raise ValueError("the start lies strictly above the target; a path only goes up")
     steps: list[PathStep] = []
-    t = t_from
+    t, m = t_from, delta
     for _ in range(sum(delta.values()) + 1):
-        m = delta_multiset(t, t_to, w)
         if m is None:
             raise TheoremViolation(
                 "a step overshot the target",
@@ -615,6 +613,7 @@ def chute_path(t_from: InversionsTableau, t_to: InversionsTableau) -> tuple[Path
             )
         steps.append(PathStep((x0, y0), bset))
         t = lifted
+        m = delta_multiset(t, t_to, w)
     raise TheoremViolation(
         "path did not terminate within the multiset budget",
         witness={"from": t_from.to_json(), "to": t_to.to_json()},

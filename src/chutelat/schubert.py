@@ -9,6 +9,7 @@ from functools import lru_cache
 
 from .errors import TheoremViolation
 from .perm import Permutation
+from .pipedream import CROSS
 from .poset import cached_poset
 
 __all__ = [
@@ -163,7 +164,7 @@ def _oracle_by_word(word: tuple[int, ...]) -> IntPolynomial:
 
 
 def schubert_oracle(w: Permutation) -> IntPolynomial:
-    """Divided-difference route, independent of any pipe dream code: start
+    """Divided-difference recursion, independent of any pipe dream code: start
     from the staircase monomial of the longest element and walk down along
     first ascents.  The wiring convention used here reads exit labels, so
     the recursion runs on the inverse permutation."""
@@ -176,9 +177,6 @@ def schubert_from_pipedreams(w: Permutation) -> IntPolynomial:
     poset = cached_poset(w)
     d: dict = {}
     for dream in poset.elements:
-        counts = [0] * w.n
-        for (r, _c) in dream.crosses():
-            counts[r - 1] += 1
-        key = _trim(tuple(counts))
+        key = _trim(tuple(row.count(CROSS) for row in dream.rows))
         d[key] = d.get(key, 0) + 1
     return IntPolynomial.from_dict(d)

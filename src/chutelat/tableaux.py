@@ -308,26 +308,35 @@ def validate_inversions_tableau(t: StairTableau, w: Permutation) -> ValidationRe
 # the Lehmer bijection
 
 
+def _relabel(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
+    """Column-local relabeling of (column, entry) pairs given in (column,
+    row) order: each entry a becomes the number of positive integers below
+    a that are missing from the entries under it in its column.  None when
+    an entry repeats in its column."""
+    out = []
+    column, below = None, []
+    for j, v in pairs:
+        if j != column:
+            column, below = j, []
+        at = bisect_left(below, v)
+        if at < len(below) and below[at] == v:
+            return None
+        out.append(v - 1 - at)
+        below.insert(at, v)
+    return tuple(out)
+
+
 def lehmer_vector(t: StairTableau, w: Permutation) -> tuple[int, ...]:
-    """Column-local relabeling: each entry a becomes the number of positive
-    integers below a that are missing from the part of the column under its
-    box.  The relabeled entries come out in (column, row) order over the
-    inversions of w, the order of ``LehmerTableau.as_vector``."""
+    """Column-local relabeling (``_relabel``) of the entries on the
+    inversions of w, in (column, row) order, the order of
+    ``LehmerTableau.as_vector``."""
     res = _column_scan(t, w, row_bound=False)
     if not res:
         raise ValueError(f"not column-injective for {w}: {res.message}")
-    # the scan passed, so the nonzero entries sit exactly on the inversions
-    entries = t.rows
-    out = []
-    for j in range(2, t.n + 1):
-        below: list[int] = []
-        for i in range(1, j):
-            v = entries[i - 1][j - i - 1]
-            if v:
-                at = bisect_left(below, v)
-                out.append(v - 1 - at)
-                below.insert(at, v)
-    return tuple(out)
+    # the scan passed, so the entries on the inversions are nonzero and
+    # distinct in each column, and _relabel returns a vector
+    rows = t.rows
+    return _relabel((j, rows[i - 1][j - i - 1]) for i, j in _support(w))
 
 
 def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
@@ -422,15 +431,12 @@ def delta_multiset(
     if isinstance(t1, InversionsTableau) and isinstance(t2, InversionsTableau):
         if t1.w != t2.w:
             raise ValueError("tableaux tagged with different permutations")
-    l1 = lehmer_form(t1, w)
-    l2 = lehmer_form(t2, w)
     out: Counter = Counter()
-    for box in l1.support():
-        d = l2.get(*box) - l1.get(*box)
-        if d < 0:
+    for box, a, b in zip(_support(w), lehmer_vector(t1, w), lehmer_vector(t2, w)):
+        if b < a:
             return None
-        if d > 0:
-            out[box] = d
+        if b > a:
+            out[box] = b - a
     return out
 
 

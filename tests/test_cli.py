@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chutelat
+from chutelat import cli as cli_module
 from chutelat.cli import main
 from chutelat.perm import Permutation
 from chutelat.pipedream import PipeDream
@@ -177,6 +178,22 @@ def test_path_incomparable(capsys, tmp_path):
     code, out, _ = run(capsys, "path", "1432", "--from", src, "--to", dst)
     assert code == 0
     assert out == "incomparable\n"
+
+
+def test_path_other_value_error_exits_2(capsys, tmp_path, monkeypatch):
+    # only the Incomparable type prints "incomparable"; a plain ValueError
+    # exits 2 whatever its text says
+    def fail(t_from, t_to):
+        raise ValueError("tableaux are incomparable")
+
+    monkeypatch.setattr(cli_module, "chute_path", fail)
+    p = cached_poset(Permutation.parse("2143"))
+    src = dream_file(tmp_path, "lo.json", p.elements[2])
+    dst = dream_file(tmp_path, "hi.json", p.elements[0])
+    code, out, err = run(capsys, "path", "2143", "--from", src, "--to", dst)
+    assert code == 2
+    assert out == ""
+    assert err == "error: tableaux are incomparable\n"
 
 
 def test_path_from_above_exits_2(capsys, tmp_path):

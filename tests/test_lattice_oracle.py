@@ -367,8 +367,8 @@ def oracle_of(fast: ChutePoset) -> OraclePoset:
 
 
 def reports(monkeypatch, w, posets=None, names=None):
-    """The ms-stripped verify report of w on the fast route and on the
-    oracle route, of the checks ``names`` (all by default).  ``posets``
+    """The ms-stripped verify report of w on the fast code and on the
+    oracle code, of the checks ``names`` (all by default).  ``posets``
     overrides the fiber of any permutation, so a hand-made poset can stand
     in for the enumerated one."""
     posets = posets or {}

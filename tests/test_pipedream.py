@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from chutelat import pipedream as pipedream_module
-from chutelat.chute import find_inverse_moves
+from chutelat.chute import check_increment_correspondence, find_inverse_moves, find_moves
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.poset import cached_poset
@@ -15,13 +15,11 @@ from chutelat.pipedream import (
     BUMP,
     CROSS,
     ELBOW,
-    CrossingRecord,
     PipeDream,
     Routing,
     is_reduced,
     phi,
     phi_vector,
-    route,
     theta,
     trace,
     transpose,
@@ -32,11 +30,11 @@ from test_lattice_oracle import sampled_n7
 
 
 def crossing_of(routing, i, j):
-    """The first crossing of pipes i and j, None if they never cross."""
-    lo, hi = min(i, j), max(i, j)
-    for rec in routing.crossings:
-        if rec.pipe_lo == lo and rec.pipe_hi == hi:
-            return rec
+    """The highest box where pipes i and j cross, None if they never
+    cross."""
+    for box, pipes in sorted(routing.cross_pipes.items()):
+        if sorted(pipes) == sorted((i, j)):
+            return box
     return None
 
 
@@ -96,8 +94,7 @@ def test_double_crossing_not_reduced():
 def test_crossing_records():
     d = PipeDream.from_crosses(2, {(1, 1)})
     routing = trace(d)
-    rec = crossing_of(routing, 1, 2)
-    assert (rec.row, rec.col) == (1, 1)
+    assert crossing_of(routing, 1, 2) == (1, 1)
     assert routing.cross_pipes[(1, 1)] == (1, 2) or routing.cross_pipes[(1, 1)] == (2, 1)
 
 
@@ -108,8 +105,8 @@ def test_theta_entries_are_crossing_rows():
     t = theta(d)
     w = trace(d).wiring
     for (i, j) in sorted(w.inversions()):
-        rec = crossing_of(trace(d), i, j)
-        assert t.get(i, j) == rec.row
+        row, _col = crossing_of(trace(d), i, j)
+        assert t.get(i, j) == row
     # off-diagram boxes are zero
     for (i, j) in t.boxes():
         if (i, j) not in w.inversions():
@@ -200,22 +197,14 @@ def oracle_trace(dream):
                     break
         paths.append(tuple(path))
     wiring = Permutation(tuple(exit_pipe[1:]))
-    cross_pipes = {}
-    records = []
-    for box in sorted(horiz):
-        h, v = horiz[box], vert[box]
-        cross_pipes[box] = (h, v)
-        lo, hi = (h, v) if h < v else (v, h)
-        records.append(CrossingRecord(lo, hi, box[0], box[1]))
-    records.sort()
-    return Routing(wiring, tuple(records), cross_pipes), tuple(paths)
+    cross_pipes = {box: (h, vert[box]) for box, h in horiz.items()}
+    return Routing(wiring, cross_pipes), tuple(paths)
 
 
 def assert_trace_matches_oracle(d):
     got = trace(d)
     want, _paths = oracle_trace(d)
     assert got.wiring == want.wiring, d.rows
-    assert got.crossings == want.crossings, d.rows
     assert got.cross_pipes == want.cross_pipes, d.rows
     assert got.reduced == want.reduced, d.rows
 
@@ -238,18 +227,34 @@ def test_trace_matches_oracle_on_sampled_n7_and_12438765():
 
 def test_phi_vector_matches_the_tableau_route():
     # every element of every fiber of S_1..S_6, of the sampled n=7 fibers
-    # and of one n=8 fiber; the poset stores the same vectors, and handed
-    # the dream's routing, phi_vector and find_inverse_moves give what
-    # their one-argument calls give
+    # and of one n=8 fiber; the poset stores the same vectors
     ws = [Permutation(word) for n in range(1, 7) for word in itertools.permutations(range(1, n + 1))]
     ws += sampled_n7() + [Permutation.parse("12438765")]
     for w in ws:
         poset = cached_poset(w)
         for d, stored in zip(poset.elements, poset.vectors):
-            routing = route(d)
-            assert phi_vector(d, w, routing) == phi_vector(d, w) == stored, (w, d.rows)
+            assert phi_vector(d, w) == stored, (w, d.rows)
             assert lehmer_vector(theta(d), w) == stored, (w, d.rows)
-            assert find_inverse_moves(d, routing) == find_inverse_moves(d), (w, d.rows)
+
+
+def test_consecutive_reads_route_a_dream_once():
+    # trace keeps one routing, so reads of one dream in a row are routed
+    # once; check_increment_correspondence reads the dream before the
+    # move, then the dream after it, each in a row
+    w = Permutation.parse("14325")
+    assert trace.cache_info().maxsize == 1
+    for d in cached_poset(w).elements:
+        trace.cache_clear()
+        find_inverse_moves(d)
+        phi_vector(d, w)
+        theta(d)
+        is_reduced(d)
+        info = trace.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1), d.rows
+        for mv in find_moves(d):
+            trace.cache_clear()
+            check_increment_correspondence(d, mv)
+            assert trace.cache_info().misses == 2, (d.rows, mv)
 
 
 def _raised(call):
@@ -276,22 +281,15 @@ def test_phi_vector_fails_like_the_tableau_route(monkeypatch):
     for d, w, message in cases:
         got = _raised(lambda: phi_vector(d, w))
         assert got == _raised(lambda: lehmer_vector(theta(d), w)), (d.rows, w)
-        assert got == _raised(lambda: phi_vector(d, w, route(d))), (d.rows, w)
         assert got[0] is ValueError and message in got[1], got
-        assert find_inverse_moves(d, route(d)) == find_inverse_moves(d), d.rows
     # a routing whose crossings are the inversions of 321 but put pipes 1
     # and 3 and pipes 2 and 3 in the same row, 1, of column 3
     w = Permutation.parse("321")
-    only = cached_poset(w)
-    records = (CrossingRecord(1, 2, 2, 1), CrossingRecord(1, 3, 1, 1), CrossingRecord(2, 3, 1, 2))
-    fake = Routing(w, records, {})
+    fake = Routing(w, {(2, 1): (1, 2), (1, 1): (1, 3), (1, 2): (2, 3)})
     monkeypatch.setattr(pipedream_module, "trace", lambda d: fake)
     d = PipeDream.all_bump(3)
     got = _raised(lambda: phi_vector(d, w))
     assert got == _raised(lambda: lehmer_vector(theta(d), w))
-    assert got == _raised(lambda: phi_vector(d, w, fake))
-    # a routing handed in is the one read, not trace's
-    assert phi_vector(d, w, route(only.elements[0])) == only.vectors[0]
     assert got == (ValueError, "not column-injective for 321: entry 1 repeats in column 3 (rows 1 and 2)")
 
 

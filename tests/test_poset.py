@@ -8,7 +8,7 @@ from chutelat import poset as poset_module
 from chutelat import schubert as schubert_module
 from chutelat import verify as verify_module
 from chutelat.chute import check_increment_correspondence
-from chutelat.errors import TheoremViolation
+from chutelat.errors import Incomparable, TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import theta, trace
 from chutelat.poset import (
@@ -278,7 +278,7 @@ def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         ChutePoset(w, real.elements[:2], (real.vectors[0],) * 2, ((), ()))
     assert exc.value.witness == {"w": "1432"}
-    monkeypatch.setattr(poset_module, "phi_vector", lambda d, v, routing: real.vectors[0])
+    monkeypatch.setattr(poset_module, "phi_vector", lambda d, v: real.vectors[0])
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         enumerate_poset(w)
     assert exc.value.witness == {"w": "1432"}
@@ -290,24 +290,21 @@ def test_poset_needs_one_vector_per_element():
         ChutePoset(real.w, real.elements[:2], real.vectors[:1], ((), ()))
 
 
-def test_build_traces_each_element_once(monkeypatch):
-    # the downward search routes each element once, outside the trace
-    # cache, and hands that routing to its move search and its Lehmer
-    # vector; only the seed's routing may be left cached, and the poset
-    # itself routes nothing
+def test_build_traces_each_element_once():
+    # the downward search routes each element once: its move search and
+    # its Lehmer vector read the dream back to back, so the second call is
+    # a hit in trace's one-entry cache; the seed's wiring check and up-move
+    # test share its routing too, and the poset itself routes nothing
     w = Permutation.parse("12438765")
-    routed = []
-    route = poset_module.route
-    monkeypatch.setattr(poset_module, "route", lambda d: routed.append(d) or route(d))
     trace.cache_clear()
     built = enumerate_poset(w)
-    assert len(routed) == len(set(routed)) == built.size == 3003
-    assert trace.cache_info().currsize <= 1
-    routed.clear()
+    info = trace.cache_info()
+    assert info.misses == built.size == 3003
+    assert info.maxsize == 1 and info.currsize <= 1
     trace.cache_clear()
     ChutePoset(w, built.elements, built.vectors, built._moves_up)
     info = trace.cache_info()
-    assert not routed and info.hits + info.misses == 0
+    assert info.hits + info.misses == 0
 
 
 def test_thetas_are_built_on_demand(monkeypatch):
@@ -365,8 +362,11 @@ def test_chute_path_pentagon_frozen():
         {"box": [3, 4], "bset": [[3, 4]]},
     ]
     assert chute_path(p.thetas[4], p.thetas[4]) == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(Incomparable, match="tableaux are incomparable"):
         chute_path(p.thetas[1], p.thetas[2])
+    with pytest.raises(ValueError, match="strictly above") as exc:
+        chute_path(p.thetas[0], p.thetas[4])
+    assert type(exc.value) is ValueError
 
 
 def test_chute_path_composes_to_target():
@@ -383,7 +383,8 @@ def test_chute_path_composes_to_target():
 
 def test_chute_path_overshoot_is_a_violation(monkeypatch):
     # the difference multiset vanishing mid-path means a step went past
-    # the target
+    # the target; the start's multiset is computed once, so the first
+    # None comes after the first step, which reaches thetas[2]
     p = cached_poset(Permutation.parse("1432"))
     real = poset_module.delta_multiset
     calls = []
@@ -395,7 +396,8 @@ def test_chute_path_overshoot_is_a_violation(monkeypatch):
     monkeypatch.setattr(poset_module, "delta_multiset", first_call_only)
     with pytest.raises(TheoremViolation, match="overshot") as exc:
         chute_path(p.thetas[4], p.thetas[0])
-    assert exc.value.witness["reached"] == p.thetas[4].to_json()
+    assert exc.value.witness["reached"] == p.thetas[2].to_json()
+    assert len(calls) == 2
 
 
 def test_to_dot_frozen():
