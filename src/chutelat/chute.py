@@ -144,24 +144,43 @@ def find_moves(dream: PipeDream) -> list[ChuteMove]:
 def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
     """All moves that produce this dream, sorted like ``find_moves``; one
     scan per southwest cross.  The pipe pair is read at the southwest
-    corner, where the moved crossing now sits."""
+    corner, where the moved crossing now sits.
+
+    Each row is read run by run: ``str.find`` steps to the next cross, and
+    every cross l of a run shares the run's r, the first non-cross after
+    it (a row ends in an elbow, so r stays in the row)."""
     cross_pipes = trace(dream).cross_pipes
+    rows = dream.rows
     out = []
-    for b, row in enumerate(dream.rows, start=1):
-        for l, tile in enumerate(row, start=1):
-            if tile != CROSS:
-                continue
-            rest = row[l:]
-            r = l + 1 + len(rest) - len(rest.lstrip(CROSS))
-            full = CROSS * (r - l + 1)
-            t = b - 1
-            while t and dream.rows[t - 1][l - 1 : r] == full:
-                t -= 1
-            if t and _reads(dream, t, l, r, BUMP, BUMP):
-                h, v = cross_pipes[(b, l)]
-                out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
+    for b, row in enumerate(rows, start=1):
+        start = row.find(CROSS) + 1
+        while start:
+            r = start + 1
+            while row[r - 1] == CROSS:
+                r += 1
+            for l in range(start, r):
+                full = CROSS * (r - l + 1)
+                t = b - 1
+                while t and rows[t - 1][l - 1 : r] == full:
+                    t -= 1
+                if t and rows[t - 1][l - 1 : r] == BUMP + CROSS * (r - l - 1) + BUMP:
+                    h, v = cross_pipes[(b, l)]
+                    out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
+            start = row.find(CROSS, r) + 1
     out.sort(key=move_order)
     return out
+
+
+def _swapped(rows: tuple[str, ...], move: ChuteMove, undo: bool) -> tuple[str, ...]:
+    """The rows with the move's two corner tiles swapped, unchecked: the
+    southwest bump becomes a cross and the northeast cross a bump, or the
+    reverse with ``undo``."""
+    t, b, l, r = move.rect
+    southwest, northeast = (BUMP, CROSS) if undo else (CROSS, BUMP)
+    out = list(rows)
+    out[b - 1] = out[b - 1][: l - 1] + southwest + out[b - 1][l:]
+    out[t - 1] = out[t - 1][: r - 1] + northeast + out[t - 1][r:]
+    return tuple(out)
 
 
 def moved_rows(dream: PipeDream, move: ChuteMove, undo: bool = False) -> tuple[str, ...]:
@@ -173,11 +192,7 @@ def moved_rows(dream: PipeDream, move: ChuteMove, undo: bool = False) -> tuple[s
         raise ValueError(
             f"move {move} cannot be undone here" if undo else f"move {move} is not applicable"
         )
-    southwest, northeast = (BUMP, CROSS) if undo else (CROSS, BUMP)
-    rows = list(dream.rows)
-    rows[b - 1] = rows[b - 1][: l - 1] + southwest + rows[b - 1][l:]
-    rows[t - 1] = rows[t - 1][: r - 1] + northeast + rows[t - 1][r:]
-    return tuple(rows)
+    return _swapped(dream.rows, move, undo)
 
 
 def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:

@@ -43,6 +43,7 @@ __all__ = [
     "phi",
     "phi_vector",
     "transpose",
+    "transpose_rows",
     "triforce_embed",
 ]
 
@@ -62,6 +63,16 @@ class PipeDream:
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         for r, row in enumerate(rows, start=1):
+            # the common case in one pass of C code: the right length,
+            # crosses and bumps, then the elbow; anything else takes the
+            # per-tile loop, which names the first bad tile
+            if (
+                isinstance(row, str)
+                and len(row) == n + 1 - r
+                and row[-1] == ELBOW
+                and not row[:-1].strip(CROSS + BUMP)
+            ):
+                continue
             if len(row) != n + 1 - r:
                 raise ValueError(f"row {r} has length {len(row)}, expected {n + 1 - r}")
             for c, t in enumerate(row, start=1):
@@ -87,14 +98,6 @@ class PipeDream:
         for r in range(1, n + 1):
             for c in range(1, n + 2 - r):
                 yield (r, c)
-
-    def crosses(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (r, c)
-            for r, row in enumerate(self.rows, start=1)
-            for c, t in enumerate(row, start=1)
-            if t == CROSS
-        )
 
     def with_tiles(self, updates: dict[tuple[int, int], str]) -> "PipeDream":
         rows = [list(row) for row in self.rows]
@@ -239,16 +242,20 @@ def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
     return lehmer_vector(theta(dream), w)
 
 
+def transpose_rows(rows: tuple[str, ...]) -> tuple[str, ...]:
+    """The rows of the reflection across the main diagonal.  Row r of the
+    reflection is column r read downwards: with every row padded to length
+    n, column r is the r-th entry of ``zip``, cut to its first n + 1 - r
+    tiles, those of the rows long enough to hold one."""
+    n = len(rows)
+    columns = zip(*(row.ljust(n) for row in rows))
+    return tuple("".join(col[: n + 1 - r]) for r, col in enumerate(columns, start=1))
+
+
 def transpose(dream: PipeDream) -> "PipeDream":
     """Reflect across the main diagonal; wiring becomes its inverse and the
     chute-move order reverses."""
-    n = dream.n
-    rows = dream.rows
-    # row r of the reflection is column r read downwards: the r-th tile of
-    # the first n + 1 - r rows, the ones long enough to hold one
-    return PipeDream(
-        tuple("".join(row[r - 1] for row in rows[: n + 1 - r]) for r in range(1, n + 1))
-    )
+    return PipeDream(transpose_rows(dream.rows))
 
 
 def triforce_embed(dream: PipeDream) -> "PipeDream":

@@ -62,6 +62,7 @@ __all__ = [
     "theta_inverse",
     "single_moves_all_covers",
     "classify_polygon",
+    "fork_polygon",
     "PathStep",
     "chute_path",
     "to_dot",
@@ -166,6 +167,10 @@ class ChutePoset:
         self._covers_up = tuple(covers_up)
         self._covers_down = tuple(tuple(sorted(c)) for c in covers_down)
         self._full = (1 << size) - 1
+        # verify's fork tables: the join of each up-fork and the meet of
+        # each down-fork, built on first use
+        self._up_fork_bounds = None
+        self._down_fork_bounds = None
 
     # -- basic lookups ------------------------------------------------------
 
@@ -358,6 +363,55 @@ def classify_polygon(iv: Interval) -> PolygonType:
     return PolygonType.POLYGON
 
 
+def fork_polygon(
+    poset: ChutePoset, g: int, x: int, y: int, bound: int, up: bool
+) -> PolygonType | None:
+    """The shape of a fork's span read off cover rows: DIAMOND, PENTAGON,
+    or None when the covers show neither and ``classify_polygon`` must
+    decide.  With ``up``, (x, y) is a pair of upper covers of g with join
+    ``bound``; otherwise a pair of lower covers of g with meet ``bound``.
+
+    Take an up-fork, b its join and I = [g, b].  Every member of (g, b]
+    lies above an upper cover of g that is <= b, the first step of a
+    maximal chain up to it from g.  So when x and y are the only upper
+    covers of g that lie <= b, I is {g} with [x, b] and [y, b], and when b
+    covers x, [x, b] = {x, b}, since a cover has nothing strictly between.
+    If b covers both, I = {g, x, y, b}: a diamond, x and y being distinct
+    upper covers of g and so incomparable.  If b covers y alone and x has
+    exactly one upper cover z <= b, which b covers, the same argument at x
+    gives [x, b] = {x, z, b}, so I is the chains g < x < z < b and
+    g < y < b; y is none of x, z, b, since y > x would put x strictly
+    between g and its cover y.  That is a pentagon.  In both shapes the
+    cover degrees inside I are the ones ``classify_polygon`` counts, so
+    its verdict is the same.  Down-fork spans are dual: lower covers of g
+    that are >= the meet a, and upper covers of a.
+    """
+    rank = poset._rank
+    if up:
+        inside = poset._down0(bound)
+        ends = poset.covers_down_idx(bound)
+    else:
+        inside = poset._up0(bound)
+        ends = [j for _mv, j in poset.covers_up_idx(bound)]
+
+    def steps(k):
+        # the covers of k that lead away from g and stay inside the span
+        row = [j for _mv, j in poset.covers_up_idx(k)] if up else poset.covers_down_idx(k)
+        return [j for j in row if (inside >> rank[j]) & 1]
+
+    if len(steps(g)) != 2:
+        return None
+    x_end, y_end = x in ends, y in ends
+    if x_end and y_end:
+        return PolygonType.DIAMOND
+    if x_end == y_end:
+        return None
+    z = steps(y if x_end else x)
+    if len(z) == 1 and z[0] in ends:
+        return PolygonType.PENTAGON
+    return None
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -424,7 +478,9 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
             moves = chute.find_inverse_moves(d)
             vectors.append(phi_vector(d, w))
             for mv in moves:
-                rows = chute.moved_rows(d, mv, undo=True)
+                # the scan has just matched exactly the tiles that
+                # chute._fits(after=True) tests, so the swap needs no check
+                rows = chute._swapped(d.rows, mv, undo=True)
                 j = ids.get(rows)
                 if j is None:
                     j = ids[rows] = len(dreams)
@@ -436,10 +492,10 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         canon = [0] * len(order)
         for pos, k in enumerate(order):
             canon[k] = pos
-        moves_up = tuple(
-            tuple((mv, canon[j]) for mv, j in sorted(up[k], key=lambda e: chute.move_order(e[0])))
-            for k in order
-        )
+        for row in up:
+            if len(row) > 1:
+                row.sort(key=lambda e: chute.move_order(e[0]))
+        moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
         return ChutePoset(
             w, tuple(dreams[k] for k in order), tuple(vectors[k] for k in order), moves_up
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .perm import Permutation
@@ -190,7 +191,12 @@ def _check_json_n(t, obj: dict):
     return t
 
 
+# every vector of a fiber reads the same support; as with
+# ``Permutation.inversions``, a small bound keeps a sweep from holding every
+# permutation it visits, and the tuple is immutable, so sharing it is safe
+@lru_cache(maxsize=64)
 def _support(w: Permutation) -> tuple[tuple[int, int], ...]:
+    """The inversion diagram of w in (column, row) order."""
     return tuple(sorted(w.inversions(), key=lambda b: (b[1], b[0])))
 
 

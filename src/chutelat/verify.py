@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 from .errors import TheoremViolation
 from .perm import Permutation
-from .pipedream import transpose, triforce_embed
-from .poset import ChutePoset, Interval, PolygonType, _bits, cached_poset, classify_polygon
+# ``transpose`` is no longer called here; perfbench/child.py wraps
+# ``verify.transpose`` by name, so the name stays
+from .pipedream import transpose, transpose_rows, triforce_embed
+from .poset import (
+    ChutePoset,
+    Interval,
+    PolygonType,
+    _bits,
+    cached_poset,
+    classify_polygon,
+    fork_polygon,
+)
 from .tableaux import _support
 
 __all__ = [
@@ -169,18 +180,37 @@ def _forks(poset: ChutePoset, g: int, up: bool):
     return combinations(poset.covers_down_idx(g), 2)
 
 
+def _fork_bounds(poset: ChutePoset, deadline: Deadline, up: bool) -> array:
+    """The fork table of one side: the join of every up-fork (with ``up``)
+    or the meet of every down-fork, in ``_forks`` order, -1 where the
+    bound does not exist.  Built on first use, polling once per element,
+    and kept on the poset for the other checks of the run; a build the
+    budget cuts short keeps nothing."""
+    attr = "_up_fork_bounds" if up else "_down_fork_bounds"
+    table = getattr(poset, attr)
+    if table is None:
+        bound = poset.join_idx if up else poset.meet_idx
+        table = array("i")
+        for g in range(poset.size):
+            deadline.poll()
+            for a, b in _forks(poset, g, up):
+                try:
+                    table.append(bound(a, b))
+                except TheoremViolation:
+                    table.append(-1)
+        setattr(poset, attr, table)
+    return table
+
+
 def _fork_failure(poset: ChutePoset, deadline: Deadline, up: bool):
     """The first up-fork without a join (with ``up``) or down-fork without
     a meet.  None when every fork has its bound."""
-    bound = poset.join_idx if up else poset.meet_idx
-    for g in range(poset.size):
-        deadline.poll()
-        for a, b in _forks(poset, g, up):
-            try:
-                bound(a, b)
-            except TheoremViolation:
-                return a, b
-    return None
+    try:
+        missing = _fork_bounds(poset, deadline, up).index(-1)
+    except ValueError:
+        return None
+    forks = chain.from_iterable(_forks(poset, g, up) for g in range(poset.size))
+    return next(islice(forks, missing, None))
 
 
 # A certificate returns None when it proves its claim.  Otherwise the
@@ -331,19 +361,30 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
     through y, so on both chains, so it is b.  Hence x v y = b: [a, b] is
     the span of the up-fork (x, y) at a, and the fork loop classifies it.
 
-    A span met again is skipped: it passed the first time, or the check
-    would have returned, so the first failing span and its witness stay.
+    Each fork's bound comes from the fork table, and its span is named
+    from cover rows by ``fork_polygon``; only a span the covers show as
+    neither a diamond nor a pentagon goes to ``classify_polygon``.  A
+    fork without a bound raises the bound's own violation when the walk
+    reaches it.  A span met again is skipped: it passed the first time,
+    or the check would have returned, so the first failing span and its
+    witness stay.
     """
     seen = set()
+    tables = {up: iter(_fork_bounds(poset, deadline, up)) for up in (True, False)}
     for g in range(poset.size):
         deadline.poll()
-        for up in (True, False):
+        for up, bounds in tables.items():
             for x, y in _forks(poset, g, up):
-                span = (g, poset.join_idx(x, y)) if up else (poset.meet_idx(x, y), g)
+                b = next(bounds)
+                if b < 0:
+                    (poset.join_idx if up else poset.meet_idx)(x, y)
+                span = (g, b) if up else (b, g)
                 if span in seen:
                     continue
                 seen.add(span)
-                verdict = classify_polygon(Interval(poset, *span))
+                verdict = fork_polygon(poset, g, x, y, b, up)
+                if verdict is None:
+                    verdict = classify_polygon(Interval(poset, *span))
                 if verdict not in (PolygonType.DIAMOND, PolygonType.PENTAGON):
                     return {
                         "note": "interval is not a diamond or pentagon",
@@ -392,6 +433,14 @@ def _reversal_sweep(poset: ChutePoset, other: ChutePoset, image: list, deadline:
     return None
 
 
+def _transpose_image(poset: ChutePoset, other: ChutePoset) -> list[int]:
+    """The index in ``other`` of each element's transpose, -1 where the
+    transpose is not there.  Transposes are looked up by their rows, so
+    no dream is built for them."""
+    position = {d.rows: k for k, d in enumerate(other.elements)}
+    return [position.get(transpose_rows(d.rows), -1) for d in poset.elements]
+
+
 def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     """Transposition is an order anti-isomorphism onto the fiber of the
     inverse permutation, and a pair whose Lehmer forms differ only in the
@@ -415,12 +464,10 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     if other.size != poset.size:
         return {"note": "fibers of w and its inverse differ in size",
                 "sizes": [poset.size, other.size]}
-    image = []
-    for d in poset.elements:
-        td = transpose(d)
-        if td not in other.index:
-            return {"note": "transpose left the fiber", "dream": d.to_json()}
-        image.append(other.index[td])
+    image = _transpose_image(poset, other)
+    if -1 in image:
+        d = poset.elements[image.index(-1)]
+        return {"note": "transpose left the fiber", "dream": d.to_json()}
     refuted = _cover_certificate(poset, other, image, deadline)
     if refuted is not None:
         return _reversal_sweep(poset, other, image, deadline) or refuted

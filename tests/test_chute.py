@@ -7,6 +7,7 @@ import pytest
 
 from chutelat.chute import (
     ChuteMove,
+    _swapped,
     apply,
     check_increment_correspondence,
     find_inverse_moves,
@@ -19,6 +20,7 @@ from chutelat.perm import Permutation
 from chutelat.pipedream import PipeDream, is_reduced, theta, trace
 from chutelat.poset import cached_poset, seed_dream
 from chutelat.tableaux import lehmer_form
+from test_pipedream import crosses
 
 FIXTURE = PipeDream(("CBCCCCBE", "CCCCCCE", "CBCCBE", "BBBBE", "BBBE", "CBE", "CE", "E"))
 
@@ -100,6 +102,23 @@ def test_moved_rows_rejects_what_apply_and_inverse_apply_reject():
                 step(bottom, move)
 
 
+def test_unchecked_swap_matches_moved_rows_on_every_move():
+    # the build swaps the corners of each move find_inverse_moves returns
+    # without moved_rows' tile check; both give the same rows
+    words = [w for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
+    words.append(Permutation.parse("12438765").word)
+    swaps = 0
+    for word in words:
+        for d in cached_poset(Permutation(word)).elements:
+            for mv in find_inverse_moves(d):
+                assert _swapped(d.rows, mv, undo=True) == moved_rows(d, mv, undo=True)
+                swaps += 1
+            for mv in find_moves(d):
+                assert _swapped(d.rows, mv, undo=False) == moved_rows(d, mv)
+    # 12438765 alone has 10,654 move edges, each undone once in its build
+    assert swaps > 10_654
+
+
 def test_apply_preserves_wiring_and_crosses():
     rng = random.Random(20260816)
     words = [tuple(rng.sample(range(1, 6), 5)) for _ in range(6)]
@@ -110,7 +129,7 @@ def test_apply_preserves_wiring_and_crosses():
                 d2 = apply(d, m)
                 assert trace(d2).wiring == w
                 assert is_reduced(d2)
-                assert len(d2.crosses()) == len(d.crosses())
+                assert len(crosses(d2)) == len(crosses(d))
                 assert inverse_apply(d2, m) == d
                 assert m in find_inverse_moves(d2)
 

@@ -37,8 +37,15 @@ import pytest
 from chutelat import tableaux, verify
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
-from chutelat.pipedream import transpose
-from chutelat.poset import ChutePoset, Interval, PolygonType, cached_poset, classify_polygon
+from chutelat.pipedream import PipeDream, transpose
+from chutelat.poset import (
+    ChutePoset,
+    Interval,
+    PolygonType,
+    cached_poset,
+    classify_polygon,
+    fork_polygon,
+)
 
 
 def _bits(mask):
@@ -660,6 +667,167 @@ def test_tailed_diamond_is_not_a_pentagon(monkeypatch):
     assert got["checks"][0]["status"] == "pass"
 
 
+def skewed_hexagon_361542():
+    """A hexagon whose sides take two steps and four, 0 < 2 < 5 and
+    0 < 1 < 3 < 4 < 5, on dreams of Lehmer totals 0, 1, 1, 2, 3 and 4.
+    The top covers 2 and not 1, and 1 has one upper cover, 3, which the
+    top does not cover."""
+    return hand_built_361542(_picks(0, 1, 1, 2, 3, 4), ((1, 2), (3,), (5,), (4,), (5,), ()))
+
+
+def forked_pentagon_361542():
+    """The shape of a pentagon 0 < 2 < 5, 0 < 1 < z < 5 with two middles
+    z = 3 and z = 4 on its long side, on dreams of Lehmer totals 1, 2, 2,
+    3, 3 and 4: the top covers 2 and not 1, and 1 has two upper covers
+    below the top."""
+    return hand_built_361542(
+        _picks(1, 2, 2, 3, 3, 4), ((1, 2), (3, 4), (5,), (5,), (5,), ()))
+
+
+def hand_built_shapes():
+    return [
+        hexagon_361542(), m3_361542(), join_only_361542(), bowtie_361542(),
+        hexagon_and_open_fork_361542(), two_chains_361542(), tailed_diamond_361542(),
+        split_pentagon_361542(), skewed_hexagon_361542(), forked_pentagon_361542(),
+    ]
+
+
+def oracle_fork_failure(poset, up):
+    """The fork walk that the fork table replaced: each fork's bound in
+    turn, the first one missing returned."""
+    bound = poset.join_idx if up else poset.meet_idx
+    for g in range(poset.size):
+        for a, b in verify._forks(poset, g, up):
+            try:
+                bound(a, b)
+            except TheoremViolation:
+                return a, b
+    return None
+
+
+def assert_fork_tables_match_bounds(poset):
+    """Each fork table entry is its fork's join or meet, or -1 exactly
+    when the bound raises; the table is kept on the poset, and the first
+    failing fork is the one the old walk found."""
+    deadline = verify.Deadline(None)
+    for up in (True, False):
+        bound = poset.join_idx if up else poset.meet_idx
+        forks = [f for g in range(poset.size) for f in verify._forks(poset, g, up)]
+        table = verify._fork_bounds(poset, deadline, up)
+        assert len(table) == len(forks)
+        for (a, b), got in zip(forks, table):
+            want = outcome(bound, a, b)
+            assert got == (want[1] if want[0] == "ok" else -1), (str(poset.w), up, a, b)
+        assert verify._fork_bounds(poset, deadline, up) is table
+        assert verify._fork_failure(poset, deadline, up) == oracle_fork_failure(poset, up)
+
+
+def test_fork_tables_match_the_bounds():
+    for n in (4, 5, 6):
+        for word in itertools.permutations(range(1, n + 1)):
+            assert_fork_tables_match_bounds(cached_poset(Permutation(word)))
+    for w in sampled_n7():
+        assert_fork_tables_match_bounds(cached_poset(w))
+    shapes = hand_built_shapes()
+    for poset in shapes:
+        assert_fork_tables_match_bounds(poset)
+    # the bowtie misses a join and a meet, the open fork a join
+    missing = [(-1 in p._up_fork_bounds, -1 in p._down_fork_bounds) for p in shapes[3:5]]
+    assert missing == [(True, True), (True, False)]
+
+
+class _Polls(verify.Deadline):
+    """A budget that runs out at poll number ``polls + 1``."""
+
+    def __init__(self, polls):
+        super().__init__(None)
+        self.polls = polls
+
+    def poll(self):
+        self.polls -= 1
+        if self.polls < 0:
+            raise verify._BudgetExceeded
+
+
+def test_fork_table_polls_once_per_element_and_keeps_no_partial_table():
+    poset = hexagon_361542()
+    for up, attr in ((True, "_up_fork_bounds"), (False, "_down_fork_bounds")):
+        with pytest.raises(verify._BudgetExceeded):
+            verify._fork_bounds(poset, _Polls(poset.size - 1), up)
+        assert getattr(poset, attr) is None
+        table = verify._fork_bounds(poset, _Polls(poset.size), up)
+        assert getattr(poset, attr) is table and len(table) == 1
+
+
+def fork_verdicts(poset):
+    """``fork_polygon``'s verdict on the span of every fork with a bound,
+    on both sides, which must be ``classify_polygon``'s whenever it names
+    one; the set of verdicts seen."""
+    seen = set()
+    for g in range(poset.size):
+        for up in (True, False):
+            bound = poset.join_idx if up else poset.meet_idx
+            for x, y in verify._forks(poset, g, up):
+                found = outcome(bound, x, y)
+                if found[0] != "ok":
+                    continue
+                b = found[1]
+                verdict = fork_polygon(poset, g, x, y, b, up)
+                if verdict is not None:
+                    iv = Interval(poset, *((g, b) if up else (b, g)))
+                    assert verdict is classify_polygon(iv), (str(poset.w), g, x, y, up)
+                seen.add(verdict)
+    return seen
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cover_rows_name_fork_spans_like_classify_polygon_on_sn(n):
+    # every fork span of a real fiber is a diamond or a pentagon, and the
+    # cover rows name each one
+    seen = set()
+    for word in itertools.permutations(range(1, n + 1)):
+        seen |= fork_verdicts(cached_poset(Permutation(word)))
+    assert seen <= {PolygonType.DIAMOND, PolygonType.PENTAGON}
+    assert PolygonType.PENTAGON in seen
+
+
+def test_cover_rows_name_fork_spans_like_classify_polygon_on_samples_and_shapes():
+    seen = set()
+    for w in sampled_n7():
+        seen |= fork_verdicts(cached_poset(w))
+    assert seen == {PolygonType.DIAMOND, PolygonType.PENTAGON}
+    # shapes that are neither: each has a span the cover rows leave to
+    # classify_polygon, and no verdict they name may differ from its
+    for poset in hand_built_shapes():
+        fork_verdicts(poset)
+    for build in (hexagon_361542, m3_361542, split_pentagon_361542,
+                  skewed_hexagon_361542, forked_pentagon_361542):
+        assert None in fork_verdicts(build()), build.__name__
+
+
+def test_transpose_check_builds_no_dream(monkeypatch):
+    # images are looked up by their rows; a hand-built fiber that holds
+    # only some of its own transposes still reports the first element
+    # whose transpose left it, as the oracle's dream lookup does
+    built = []
+    validate = PipeDream.__post_init__
+
+    def counting(self):
+        built.append(self.rows)
+        validate(self)
+
+    w = Permutation.parse("1327654")
+    cached_poset(w)
+    with monkeypatch.context() as m:
+        m.setattr(PipeDream, "__post_init__", counting)
+        assert verify.check_transpose_antiisomorphism(cached_poset(w), verify.Deadline(None)) is None
+    assert built == []
+    hexagon = hexagon_361542()
+    got, want = reports(monkeypatch, hexagon.w, {hexagon.w: hexagon}, ("transpose",))
+    assert got == want
+    assert got["checks"][0]["witness"]["note"] == "transpose left the fiber"
+
+
 def _comparable_pairs(poset):
     return [(a, b) for a in range(poset.size) for b in range(poset.size) if poset.leq_idx(a, b)]
 
@@ -678,31 +846,40 @@ def _fork_spans(poset):
 
 
 def _classified_spans(monkeypatch, poset):
-    """The (bottom, top) of each ``classify_polygon`` call that a passing
-    ``check_polygonal`` makes, in call order."""
-    calls = []
-    real = verify.classify_polygon
+    """The (bottom, top) of each ``fork_polygon`` call that a passing
+    ``check_polygonal`` makes, in call order, and of each
+    ``classify_polygon`` call."""
+    calls, fallbacks = [], []
+    real_fork, real_classify = verify.fork_polygon, verify.classify_polygon
 
-    def counted(iv):
-        calls.append((iv.bottom, iv.top))
-        return real(iv)
+    def counted(poset, g, x, y, bound, up):
+        calls.append((g, bound) if up else (bound, g))
+        return real_fork(poset, g, x, y, bound, up)
+
+    def fallback(iv):
+        fallbacks.append((iv.bottom, iv.top))
+        return real_classify(iv)
 
     with monkeypatch.context() as m:
-        m.setattr(verify, "classify_polygon", counted)
+        m.setattr(verify, "fork_polygon", counted)
+        m.setattr(verify, "classify_polygon", fallback)
         assert verify.check_polygonal(poset, verify.Deadline(None)) is None
-    return calls
+    return calls, fallbacks
 
 
 def test_each_fork_span_is_classified_once(monkeypatch):
-    # a span met again already passed, so it is not classified again
+    # a span met again already passed, so it is not classified again; on
+    # a passing fiber the cover rows name every span, so the interval
+    # classifier never runs
     for word in itertools.permutations(range(1, 6)):
         poset = cached_poset(Permutation(word))
         distinct = list(dict.fromkeys(_fork_spans(poset)))
-        assert _classified_spans(monkeypatch, poset) == distinct, word
+        assert _classified_spans(monkeypatch, poset) == (distinct, []), word
     mid = cached_poset(Permutation.parse("1327654"))
-    calls = _classified_spans(monkeypatch, mid)
+    calls, fallbacks = _classified_spans(monkeypatch, mid)
     assert calls == list(dict.fromkeys(_fork_spans(mid)))
     assert len(calls) == 2287
+    assert fallbacks == []
 
 
 def classify_both(poset, pairs):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -23,10 +24,21 @@ from chutelat.pipedream import (
     theta,
     trace,
     transpose,
+    transpose_rows,
     triforce_embed,
 )
 from chutelat.tableaux import lehmer_vector, restrict
 from test_lattice_oracle import sampled_n7
+
+
+def crosses(dream):
+    """The cross boxes, row by row, left to right."""
+    return tuple(
+        (r, c)
+        for r, row in enumerate(dream.rows, start=1)
+        for c, t in enumerate(row, start=1)
+        if t == CROSS
+    )
 
 
 def crossing_of(routing, i, j):
@@ -52,10 +64,24 @@ def test_interior_elbow_rejected():
         PipeDream(("EBE", "BE", "E"))
 
 
+@pytest.mark.parametrize("rows, message", [
+    (("CEE", "BE", "E"), "tile E at (1,2): elbows sit exactly on the southeast boundary"),
+    (("CBE", "XE", "E"), "bad tile 'X' at (2,1)"),
+    (("CXCE", "BBE", "BE", "E"), "bad tile 'X' at (1,2)"),
+    (("CBE", "BBE", "E"), "row 2 has length 3, expected 2"),
+    ((["C", "X", "E"], "BE", "E"), "bad tile 'X' at (1,2)"),
+])
+def test_rejected_rows_keep_their_messages(rows, message):
+    # rows that pass the one-pass test skip the per-tile loop; every row
+    # that fails it goes through the loop, which names the first bad tile
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PipeDream(rows)
+
+
 def test_from_crosses():
     d = PipeDream.from_crosses(3, {(1, 1), (2, 1)})
     assert d.rows == ("CBE", "CE", "E")
-    assert d.crosses() == ((1, 1), (2, 1))
+    assert crosses(d) == ((1, 1), (2, 1))
     with pytest.raises(ValueError):
         PipeDream.from_crosses(3, {(1, 3)})  # boundary box
 
@@ -142,7 +168,7 @@ def tile_transpose(dream):
 
 def tile_crosses(dream):
     """The cross boxes read through ``tile``: the reference for
-    ``PipeDream.crosses``."""
+    ``crosses``."""
     return tuple(b for b in dream.boxes() if dream.tile(*b) == CROSS)
 
 
@@ -151,7 +177,8 @@ def test_transpose_and_crosses_match_tile_oracles_s1_to_s6():
         for word in itertools.permutations(range(1, n + 1)):
             for d in cached_poset(Permutation(word)).elements:
                 assert transpose(d) == tile_transpose(d), d.rows
-                assert d.crosses() == tile_crosses(d), d.rows
+                assert transpose_rows(d.rows) == tile_transpose(d).rows
+                assert crosses(d) == tile_crosses(d), d.rows
 
 
 def oracle_trace(dream):

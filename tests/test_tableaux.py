@@ -13,6 +13,7 @@ from chutelat.tableaux import (
     InversionsTableau,
     LehmerTableau,
     StairTableau,
+    _support,
     delta_multiset,
     increment,
     increment_multiset,
@@ -200,6 +201,18 @@ def test_lehmer_vector_is_the_vector_of_lehmer_form():
             want = oracle_lehmer_form(t, w)
             assert lehmer_form(t, w) == want, (w, t.rows)
             assert lehmer_vector(t, w) == vector == want.as_vector(), (w, t.rows)
+
+
+def test_support_is_cached_and_bounded():
+    # every vector of a fiber reads the same support, so it is sorted once
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            w = Permutation(word)
+            assert _support(w) == tuple(sorted(w.inversions(), key=lambda b: (b[1], b[0])))
+            assert _support(w) is _support(w)
+    info = _support.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 def test_validate_rejects_support():
