@@ -25,15 +25,22 @@ the same way from the southwest cross (b, l): r is the nearest non-cross
 to its right, and the top is the first row above whose span is not all
 crosses, which must read B C...C B.  A scan reads at most O(n^2) tiles
 per cross, where the rectangle search tested O(n^4) rectangles box by box.
+
+The inverse-move scan runs on a dream's cross mask (see
+``pipedream.route_crosses``), one int per row, so a span test is one AND
+and a comparison; ``inverse_move_scan`` also hands back the two bits each
+inverse move flips, from which the poset build reaches the target's mask
+by one XOR.  ``find_inverse_moves`` wraps it for a ``PipeDream``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import TheoremViolation
-from .pipedream import BUMP, CROSS, ELBOW, PipeDream, theta, trace
+from .pipedream import BUMP, CROSS, ELBOW, PipeDream, _cross_mask, _layout, theta, trace
 from .tableaux import InversionsTableau, increment, increment_multiset
 
 __all__ = [
@@ -141,32 +148,54 @@ def find_moves(dream: PipeDream) -> list[ChuteMove]:
     return out
 
 
-def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
-    """All moves that produce this dream, sorted like ``find_moves``; one
-    scan per southwest cross.  The pipe pair is read at the southwest
-    corner, where the moved crossing now sits.
+# a fiber's move edges repeat few moves (116 distinct among the 10,654
+# edges of 12438765), so the scan shares one immutable ChuteMove per
+# rectangle and pipe pair; the bound keeps a large n from holding them all
+_shared_move = lru_cache(maxsize=4096)(ChuteMove)
 
-    Each row is read run by run: ``str.find`` steps to the next cross, and
-    every cross l of a run shares the run's r, the first non-cross after
-    it (a row ends in an elbow, so r stays in the row)."""
-    cross_pipes = trace(dream).cross_pipes
-    rows = dream.rows
+
+def inverse_move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int]]:
+    """The moves that produce the dream of size n with cross mask ``mask``
+    (see ``pipedream.route_crosses``), unsorted, each with the two bits
+    that undoing it flips: its southwest cross and its northeast bump.
+    One scan per southwest cross; the pipe pair is read off
+    ``cross_pipes`` at the southwest corner, where the moved crossing now
+    sits.
+
+    Each row's interior is an int, bit c - 1 for column c, and is read run
+    by run: every cross l of a run of crosses shares the run's r, the
+    first non-cross after it (a row ends in an elbow, so r stays in the
+    row), and columns l..r of every row above lie inside the staircase."""
+    offsets = _layout(n)[0]
+    rows = [0] + [(mask >> offsets[r]) & ((1 << (n - r)) - 1) for r in range(1, n)]
     out = []
-    for b, row in enumerate(rows, start=1):
-        start = row.find(CROSS) + 1
-        while start:
-            r = start + 1
-            while row[r - 1] == CROSS:
-                r += 1
-            for l in range(start, r):
-                full = CROSS * (r - l + 1)
+    for b in range(2, n):
+        row = rows[b]
+        while row:
+            low = row & -row
+            # adding the run's lowest bit clears the run and carries into r
+            r = ((row + low) & ~row).bit_length()
+            for l in range(low.bit_length(), r):
+                west = 1 << (l - 1)
+                full = (1 << r) - west
                 t = b - 1
-                while t and rows[t - 1][l - 1 : r] == full:
+                while t and rows[t] & full == full:
                     t -= 1
-                if t and rows[t - 1][l - 1 : r] == BUMP + CROSS * (r - l - 1) + BUMP:
+                # the top row reads B C...C B on columns l..r
+                if t and rows[t] & full == full - west - (1 << (r - 1)):
                     h, v = cross_pipes[(b, l)]
-                    out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
-            start = row.find(CROSS, r) + 1
+                    flip = (west << offsets[b]) | (1 << (offsets[t] + r - 1))
+                    out.append((_shared_move(t, b, l, r, min(h, v), max(h, v)), flip))
+            row &= row + low
+    return out
+
+
+def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
+    """All moves that produce this dream, sorted like ``find_moves``:
+    ``inverse_move_scan`` on the dream's cross mask and routing."""
+    n = dream.n
+    cross_pipes = trace(dream).cross_pipes
+    out = [mv for mv, _flip in inverse_move_scan(n, _cross_mask(dream.rows)[0], cross_pipes)]
     out.sort(key=move_order)
     return out
 

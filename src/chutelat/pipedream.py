@@ -37,6 +37,7 @@ __all__ = [
     "ELBOW",
     "PipeDream",
     "Routing",
+    "route_crosses",
     "trace",
     "is_reduced",
     "theta",
@@ -156,41 +157,115 @@ class Routing:
         return len(pairs) == len(self.cross_pipes)
 
 
+# Cross masks.  Interior box (r, c), r + c <= n, is bit offset[r] + c - 1
+# of an int, with the rows taken bottom to top and each row left to right,
+# so the bits of a mask come out in the order the router visits them.
+
+
+@lru_cache(maxsize=64)
+def _layout(n: int) -> tuple[tuple[int, ...], tuple]:
+    """``offsets[r]``, the bit of box (r, 1), for r = 0..n, and per bit the
+    box and its west slot r + c - 1."""
+    offsets = tuple((n - r) * (n - r - 1) // 2 for r in range(n + 1))
+    cells = tuple(((r, c), r + c - 1) for r in range(n - 1, 0, -1) for c in range(1, n + 1 - r))
+    return offsets, cells
+
+
+_CROSS_BITS = str.maketrans({CROSS: "1", BUMP: "0"})
+
+
+def _cross_mask(rows: tuple[str, ...]) -> tuple[int, tuple[int, int] | None]:
+    """The cross mask of the rows and the first interior box, in bit order,
+    holding neither a cross nor a bump, or None; the crosses from that
+    box's row on are left out of the mask."""
+    n = len(rows)
+    offsets = _layout(n)[0]
+    mask = 0
+    for r in range(n - 1, 0, -1):
+        interior = rows[r - 1][: n - r]
+        if interior.strip(CROSS + BUMP):
+            c = next(c for c, t in enumerate(interior, start=1) if t not in (CROSS, BUMP))
+            return mask, (r, c)
+        mask |= int(interior[::-1].translate(_CROSS_BITS), 2) << offsets[r]
+    return mask, None
+
+
+# a fiber's rows repeat across its elements, so the rows of a new mask
+# are assembled from shared strings; the bound keeps a large n from
+# holding every row it meets
+@lru_cache(maxsize=4096)
+def _row(length: int, bits: int) -> str:
+    """The row of ``length`` tiles with crosses on the set bits of its
+    interior, bumps elsewhere, and the elbow last."""
+    return "".join(CROSS if bits >> k & 1 else BUMP for k in range(length - 1)) + ELBOW
+
+
+def _mask_rows(n: int, mask: int) -> tuple[str, ...]:
+    """The rows of the dream of size n whose crosses are the set bits."""
+    offsets = _layout(n)[0]
+    return tuple(
+        _row(n + 1 - r, (mask >> offsets[r]) & ((1 << (n - r)) - 1)) for r in range(1, n + 1)
+    )
+
+
+def route_crosses(n: int, mask: int) -> tuple[list[int], dict]:
+    """Route the pipes of a dream of size n given by its cross mask: the
+    labels by slot after the last cross (``labels[c]`` exits at column c)
+    and the map from each cross box to (pipe from the west, pipe from the
+    south).
+
+    Slot s is the anti-diagonal position of an edge: the west and north
+    edges of box (r, c) are slot r + c - 1, its south and east edges slot
+    r + c, so the edge shared by two neighbouring boxes has one slot seen
+    from either side.  Pipe r enters at the west edge of (r, 1), slot r,
+    and leaves column c at the north edge of (1, c), slot c.  A bump turns
+    west to north and south to east, and an elbow west to north, so both
+    keep every pipe on its slot; a cross sends west to east and south to
+    north, which swaps slots r + c - 1 and r + c.  Only the crosses are
+    therefore visited, once each.  Visiting a box needs its west and south
+    neighbours visited first, and the bit order (rows bottom to top, each
+    left to right) is such an order, so the set bits are read lowest
+    first.  The pair crossing at a box is the two slots' labels before
+    the swap.
+    """
+    cells = _layout(n)[1]
+    labels = list(range(n + 1))
+    cross_pipes = {}
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        box, a = cells[low.bit_length() - 1]
+        west, south = labels[a], labels[a + 1]
+        cross_pipes[box] = (west, south)
+        labels[a], labels[a + 1] = south, west
+    return labels, cross_pipes
+
+
 @lru_cache(maxsize=1)
 def trace(dream: PipeDream) -> Routing:
-    """Route every pipe in one sweep of the rows from bottom to top.
+    """Route every pipe through the dream's crosses with ``route_crosses``.
 
-    ``north[c]`` holds the pipe leaving column c of the row below and
-    ``west`` the pipe coming in from the left, pipe r at column 1 of row r.
-    A cross passes both straight on, a bump swaps them and an elbow turns
-    ``west`` north.  Total on every C/B filling, reduced or not: each box
-    is visited once.  A pipe entering an elbow from the south, which only
-    an elbow ``PipeDream`` rejects allows, is a TheoremViolation.
+    Total on every C/B filling, reduced or not.  A pipe entering an
+    interior elbow from the south, which only an unvalidated dream holds,
+    is a TheoremViolation.  At the first such elbow (r, c) in bit order
+    the pipe is the one on its south slot r + c once the rows below are
+    routed; the crosses left of it in row r swap lower slots only.
 
     The cache holds one dream: every caller that reads a dream more than
-    once does so in consecutive calls (the build's move search and Lehmer
-    vector, ``theta`` after ``is_reduced``), and a fiber's routings are
-    not kept after its build.
+    once does so in consecutive calls (the build's seed checks, ``theta``
+    after ``is_reduced``), and the build routes every other element
+    through ``route_crosses`` without it.
     """
     n = dream.n
-    north = [0] * (n + 1)
-    cross_pipes = {}
-    for r in range(n, 0, -1):
-        west = r
-        for c, t in enumerate(dream.rows[r - 1], start=1):
-            south = north[c]
-            if t == CROSS:
-                cross_pipes[(r, c)] = (west, south)
-            elif t == BUMP:
-                north[c], west = west, south
-            elif south:
-                raise TheoremViolation(
-                    f"pipe {south} entered boundary box ({r},{c}) from the south",
-                    witness={"dream": dream.to_json(), "pipe": south, "box": [r, c]},
-                )
-            else:
-                north[c] = west
-    return Routing(Permutation(tuple(north[1:])), cross_pipes)
+    mask, elbow = _cross_mask(dream.rows)
+    labels, cross_pipes = route_crosses(n, mask)
+    if elbow is not None:
+        r, c = elbow
+        raise TheoremViolation(
+            f"pipe {labels[r + c]} entered boundary box ({r},{c}) from the south",
+            witness={"dream": dream.to_json(), "pipe": labels[r + c], "box": [r, c]},
+        )
+    return Routing(Permutation(tuple(labels[1:])), cross_pipes)
 
 
 def is_reduced(dream: PipeDream) -> bool:
@@ -218,27 +293,35 @@ def phi(dream: PipeDream) -> LehmerTableau:
     return lehmer_form(t, t.w)
 
 
+def _crossing_vector(cross_pipes: dict, w: Permutation) -> tuple[int, ...] | None:
+    """The Lehmer vector of w read off a routing's crossings, or None when
+    a check of ``lehmer_vector`` fails: the crossing pairs must be exactly
+    the inversions of w, one crossing each and no other pair, and the
+    crossing rows distinct within each column.  Each column is relabeled
+    bottom to top by ``tableaux._relabel``, as ``lehmer_vector`` does."""
+    inv = w.inversions()
+    if len(cross_pipes) != len(inv):
+        return None
+    # box (lo, hi) of the crossing-row tableau holds the crossing row
+    entries = {((h, v) if h < v else (v, h)): r for (r, _c), (h, v) in cross_pipes.items()}
+    if entries.keys() != inv:
+        return None
+    return _relabel((j, entries[i, j]) for i, j in _support(w))
+
+
 def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
     """``lehmer_vector(theta(dream), w)`` read straight off
-    ``trace(dream)``, with no tableau built.
+    ``trace(dream)`` by ``_crossing_vector``, with no tableau built.
 
-    The checks of ``lehmer_vector`` run first: the sizes agree, the dream is
-    reduced and its crossing pairs are exactly the inversions of w (one
-    crossing per inversion and no other pair), and the crossing rows are
-    distinct within each column.  Each column is then relabeled bottom to
-    top by ``tableaux._relabel``, as ``lehmer_vector`` does.  If a check
-    fails, ``lehmer_vector(theta(dream), w)`` runs instead, so every error
-    keeps its type and message.
+    The sizes must agree as well.  If a check fails,
+    ``lehmer_vector(theta(dream), w)`` runs instead, so every error keeps
+    its type and message.
     """
     cross_pipes = trace(dream).cross_pipes
-    inv = w.inversions()
-    if dream.n == w.n and len(cross_pipes) == len(inv):
-        # box (lo, hi) of the crossing-row tableau holds the crossing row
-        entries = {((h, v) if h < v else (v, h)): r for (r, _c), (h, v) in cross_pipes.items()}
-        if entries.keys() == inv:
-            vector = _relabel((j, entries[i, j]) for i, j in _support(w))
-            if vector is not None:
-                return vector
+    if dream.n == w.n:
+        vector = _crossing_vector(cross_pipes, w)
+        if vector is not None:
+            return vector
     return lehmer_vector(theta(dream), w)
 
 

@@ -33,9 +33,13 @@ from .pipedream import (
     CROSS,
     ELBOW,
     PipeDream,
+    _cross_mask,
+    _crossing_vector,
+    _mask_rows,
     is_reduced,
     phi,
     phi_vector,
+    route_crosses,
     theta,
     trace,
 )
@@ -446,10 +450,18 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     row is sorted by (top, left, bottom, right), the order
     ``chute.find_moves`` returns.  The canonical depth of an element is its
     undirected distance from the seed over these edges, the layer an
-    undirected search by moves and inverse moves would put it in.  Each
-    element is routed once: its inverse-move search and the read of its
-    Lehmer vector are consecutive calls, so the second finds the routing
-    in ``trace``'s one-entry cache, and the next element's replaces it.
+    undirected search by moves and inverse moves would put it in.
+
+    The search carries each dream as its cross mask (see
+    ``pipedream.route_crosses``) and routes each element once, the seed
+    through ``trace`` and every other element by ``route_crosses`` on its
+    mask.  The routing gives both the Lehmer vector, by
+    ``pipedream._crossing_vector`` with ``phi_vector``'s fallback when a
+    check fails, and the pipe pairs of ``chute.inverse_move_scan``.  Each
+    inverse move's target is its source's mask with two bits flipped and
+    is looked up by that int; a ``PipeDream`` is built, with its full
+    validation, only for a mask not reached before, from rows shared
+    through a bounded cache of row strings.
 
     The seed's wiring and its having no up-move are re-checked at runtime;
     either failing means the seed construction itself is broken, so it
@@ -463,28 +475,34 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     gc.disable()
     try:
         seed = seed_dream(w)
-        if trace(seed).wiring != w:
-            raise RuntimeError(f"seed dream traces to {trace(seed).wiring}, wanted {w}")
+        routing = trace(seed)
+        if routing.wiring != w:
+            raise RuntimeError(f"seed dream traces to {routing.wiring}, wanted {w}")
         if chute.find_moves(seed):
             raise RuntimeError(f"seed dream of {w} has an up-move, so it is not the top")
-        # keyed by rows, so a dream is built and validated only when it is new
-        ids = {seed.rows: 0}
+        n = w.n
+        masks = [_cross_mask(seed.rows)[0]]
+        ids = {masks[0]: 0}
         dreams = [seed]
         vectors = []
         up: list[list] = [[]]
-        # dreams grows while it is walked, which makes it the BFS queue
-        for k, d in enumerate(dreams):
-            # phi_vector reads the routing find_inverse_moves left in trace
-            moves = chute.find_inverse_moves(d)
-            vectors.append(phi_vector(d, w))
-            for mv in moves:
+        cross_pipes = routing.cross_pipes
+        # masks grows while it is walked, which makes it the BFS queue
+        for k, mask in enumerate(masks):
+            if k:
+                cross_pipes = route_crosses(n, mask)[1]
+            vector = _crossing_vector(cross_pipes, w)
+            # the tableau route raises what the failed check found
+            vectors.append(phi_vector(dreams[k], w) if vector is None else vector)
+            for mv, flip in chute.inverse_move_scan(n, mask, cross_pipes):
                 # the scan has just matched exactly the tiles that
-                # chute._fits(after=True) tests, so the swap needs no check
-                rows = chute._swapped(d.rows, mv, undo=True)
-                j = ids.get(rows)
+                # chute._fits(after=True) tests, so the flip needs no check
+                target = mask ^ flip
+                j = ids.get(target)
                 if j is None:
-                    j = ids[rows] = len(dreams)
-                    dreams.append(PipeDream(rows))
+                    j = ids[target] = len(masks)
+                    masks.append(target)
+                    dreams.append(PipeDream(_mask_rows(n, target)))
                     up.append([])
                 up[j].append((mv, k))
         depth = _undirected_depth(up)

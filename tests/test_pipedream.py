@@ -252,6 +252,84 @@ def test_trace_matches_oracle_on_sampled_n7_and_12438765():
             assert_trace_matches_oracle(d)
 
 
+def row_sweep_trace(dream):
+    """Route every pipe in one sweep of the rows from bottom to top, box by
+    box: the reference for the slot-swap router behind ``trace``.
+
+    ``north[c]`` holds the pipe leaving column c of the row below and
+    ``west`` the pipe coming in from the left, pipe r at column 1 of row r.
+    A cross passes both straight on, a bump swaps them and an elbow turns
+    ``west`` north; a pipe entering an elbow from the south is a
+    TheoremViolation."""
+    n = dream.n
+    north = [0] * (n + 1)
+    cross_pipes = {}
+    for r in range(n, 0, -1):
+        west = r
+        for c, t in enumerate(dream.rows[r - 1], start=1):
+            south = north[c]
+            if t == CROSS:
+                cross_pipes[(r, c)] = (west, south)
+            elif t == BUMP:
+                north[c], west = west, south
+            elif south:
+                raise TheoremViolation(
+                    f"pipe {south} entered boundary box ({r},{c}) from the south",
+                    witness={"dream": dream.to_json(), "pipe": south, "box": [r, c]},
+                )
+            else:
+                north[c] = west
+    return Routing(Permutation(tuple(north[1:])), cross_pipes)
+
+
+def _routed_or_raised(route, dream):
+    """The routing's wiring and crossings, or the violation's message and
+    witness."""
+    try:
+        routing = route(dream)
+    except TheoremViolation as exc:
+        return str(exc), exc.witness
+    return routing.wiring, routing.cross_pipes
+
+
+def test_trace_matches_row_sweep_on_fillings_and_interior_elbows():
+    # every cross/bump filling for n <= 6, 2,000 seeded ones for n = 7..9,
+    # and seeded unvalidated rows with interior elbows, where the first
+    # elbow in sweep order must raise with the same message and witness
+    rng = random.Random(20261019)
+
+    def fillings():
+        for n in range(1, 7):
+            interior = [(r, c) for r in range(1, n) for c in range(1, n + 1 - r)]
+            for bits in range(1 << len(interior)):
+                yield PipeDream.from_crosses(
+                    n, {interior[k] for k in range(len(interior)) if (bits >> k) & 1}
+                )
+        for _ in range(2000):
+            n = rng.randint(7, 9)
+            yield PipeDream(tuple(
+                "".join(rng.choice(CROSS + BUMP) for _ in range(n - r)) + ELBOW
+                for r in range(1, n + 1)
+            ))
+
+    for d in fillings():
+        assert _routed_or_raised(trace, d) == _routed_or_raised(row_sweep_trace, d), d.rows
+    # one interior tile in five an elbow, and one more placed at random
+    tiles = (CROSS, CROSS, BUMP, BUMP, ELBOW)
+    for _ in range(500):
+        n = rng.randint(2, 9)
+        rows = [
+            "".join(rng.choice(tiles) for _ in range(n - r)) + ELBOW for r in range(1, n + 1)
+        ]
+        r = rng.randint(1, n - 1)
+        c = rng.randint(1, n - r)
+        rows[r - 1] = rows[r - 1][: c - 1] + ELBOW + rows[r - 1][c:]
+        d = _unvalidated(rows)
+        got = _routed_or_raised(trace, d)
+        assert isinstance(got[0], str), rows
+        assert got == _routed_or_raised(row_sweep_trace, d), rows
+
+
 def test_phi_vector_matches_the_tableau_route():
     # every element of every fiber of S_1..S_6, of the sampled n=7 fibers
     # and of one n=8 fiber; the poset stores the same vectors

@@ -4,13 +4,14 @@ from collections import Counter
 
 import pytest
 
+from chutelat import pipedream as pipedream_module
 from chutelat import poset as poset_module
 from chutelat import schubert as schubert_module
 from chutelat import verify as verify_module
 from chutelat.chute import check_increment_correspondence
 from chutelat.errors import Incomparable, TheoremViolation
 from chutelat.perm import Permutation
-from chutelat.pipedream import theta, trace
+from chutelat.pipedream import CROSS, PipeDream, _cross_mask, route_crosses, theta, trace
 from chutelat.poset import (
     ChutePoset,
     PolygonType,
@@ -278,7 +279,7 @@ def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         ChutePoset(w, real.elements[:2], (real.vectors[0],) * 2, ((), ()))
     assert exc.value.witness == {"w": "1432"}
-    monkeypatch.setattr(poset_module, "phi_vector", lambda d, v: real.vectors[0])
+    monkeypatch.setattr(poset_module, "_crossing_vector", lambda cross_pipes, v: real.vectors[0])
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         enumerate_poset(w)
     assert exc.value.witness == {"w": "1432"}
@@ -290,21 +291,59 @@ def test_poset_needs_one_vector_per_element():
         ChutePoset(real.w, real.elements[:2], real.vectors[:1], ((), ()))
 
 
-def test_build_traces_each_element_once():
-    # the downward search routes each element once: its move search and
-    # its Lehmer vector read the dream back to back, so the second call is
-    # a hit in trace's one-entry cache; the seed's wiring check and up-move
-    # test share its routing too, and the poset itself routes nothing
+def test_build_traces_each_element_once(monkeypatch):
+    # the downward search sends each element through the slot-swap router
+    # once: the seed inside trace, whose routing its wiring check, its
+    # up-move test and its inverse-move scan share, every other element
+    # straight from its cross mask; the poset itself routes nothing
     w = Permutation.parse("12438765")
+    routed = []
+
+    def counting(n, mask):
+        routed.append(mask)
+        return route_crosses(n, mask)
+
+    monkeypatch.setattr(pipedream_module, "route_crosses", counting)
+    monkeypatch.setattr(poset_module, "route_crosses", counting)
     trace.cache_clear()
     built = enumerate_poset(w)
     info = trace.cache_info()
-    assert info.misses == built.size == 3003
+    assert info.misses == 1
     assert info.maxsize == 1 and info.currsize <= 1
+    assert len(routed) == built.size == 3003
+    assert set(routed) == {_cross_mask(d.rows)[0] for d in built.elements}
+    routed.clear()
     trace.cache_clear()
     ChutePoset(w, built.elements, built.vectors, built._moves_up)
     info = trace.cache_info()
     assert info.hits + info.misses == 0
+    assert routed == []
+
+
+def test_build_reaches_large_n_from_cross_masks():
+    # a cross mask needs no table over all fillings, so S_40 builds at
+    # once: the identity is one all-bump dream, and s_k has one element
+    # per box of anti-diagonal k, each a single cross there
+    n = 40
+    pipedream_module._row.cache_clear()
+    assert enumerate_poset(Permutation.identity(n)).elements == (PipeDream.all_bump(n),)
+    for k in (1, 20, 39):
+        word = list(range(1, n + 1))
+        word[k - 1], word[k] = word[k], word[k - 1]
+        built = enumerate_poset(Permutation(tuple(word)))
+        assert built.size == k
+        crosses = sorted(
+            [
+                (r, c)
+                for r, row in enumerate(d.rows, start=1)
+                for c, t in enumerate(row, start=1)
+                if t == CROSS
+            ]
+            for d in built.elements
+        )
+        assert crosses == [[(r, k + 1 - r)] for r in range(1, k + 1)]
+    info = pipedream_module._row.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
 
 def test_thetas_are_built_on_demand(monkeypatch):
