@@ -23,14 +23,16 @@ all crosses.  Each cross therefore yields at most one move, and what is
 left to test is that row b reads B C...C B/E.  Inverse moves are found
 the same way from the southwest cross (b, l): r is the nearest non-cross
 to its right, and the top is the first row above whose span is not all
-crosses, which must read B C...C B.  A scan reads at most O(n^2) tiles
+crosses, which must read B C...C B.  A scan tests at most n row spans
 per cross, where the rectangle search tested O(n^4) rectangles box by box.
 
-The inverse-move scan runs on a dream's cross mask (see
+``move_scan`` and ``inverse_move_scan`` run on a dream's cross mask (see
 ``pipedream.route_crosses``), one int per row, so a span test is one AND
-and a comparison; ``inverse_move_scan`` also hands back the two bits each
-inverse move flips, from which the poset build reaches the target's mask
-by one XOR.  ``find_inverse_moves`` wraps it for a ``PipeDream``.
+and a comparison; ``find_moves`` and ``find_inverse_moves`` sort what
+they find on a ``PipeDream``.  With each move a scan hands back the two
+bits the move flips, so ``apply`` and ``inverse_apply`` are scan
+membership, pipe pair included, plus one XOR on the mask.  The tile
+letters stay inside ``pipedream``.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TheoremViolation
-from .pipedream import BUMP, CROSS, ELBOW, PipeDream, _cross_mask, _layout, theta, trace
+from .pipedream import PipeDream, _cross_mask, _layout, _mask_rows, theta, trace
 from .tableaux import InversionsTableau, increment, increment_multiset
 
 __all__ = [
     "ChuteMove",
     "find_moves",
     "find_inverse_moves",
-    "moved_rows",
     "apply",
     "inverse_apply",
     "vertical_pipes",
@@ -100,58 +101,64 @@ def move_order(move: ChuteMove) -> tuple[int, int, int, int]:
     return (move.top, move.left, move.bottom, move.right)
 
 
-def _reads(dream: PipeDream, row: int, l: int, r: int, west: str, east: str) -> bool:
-    """Whether row ``row`` reads ``west``, then crosses, then a tile from
-    ``east`` across columns l..r; a span leaving the staircase never does."""
-    span = dream.rows[row - 1][l - 1 : r]
-    return (
-        len(span) == r - l + 1
-        and span[0] == west
-        and span[-1] in east
-        and span[1:-1] == CROSS * (r - l - 1)
-    )
-
-
-def _fits(dream: PipeDream, t: int, b: int, l: int, r: int, after: bool) -> bool:
-    """Tile pattern of a move rectangle, before (after=False) or after the
-    move."""
-    if b + r > dream.n + 1:
-        return False
-    full = CROSS * (r - l + 1)
-    return (
-        _reads(dream, t, l, r, BUMP, BUMP if after else CROSS)
-        and all(dream.rows[s - 1][l - 1 : r] == full for s in range(t + 1, b))
-        and _reads(dream, b, l, r, CROSS if after else BUMP, BUMP + ELBOW)
-    )
-
-
-def find_moves(dream: PipeDream) -> list[ChuteMove]:
-    """All applicable moves, sorted by (top, left, bottom, right); one scan
-    per northeast cross."""
-    cross_pipes = trace(dream).cross_pipes
-    out = []
-    for t, row in enumerate(dream.rows, start=1):
-        for r, tile in enumerate(row, start=1):
-            if tile != CROSS:
-                continue
-            l = len(row[: r - 1].rstrip(CROSS))
-            if l == 0:
-                continue
-            full = CROSS * (r - l + 1)
-            b = t + 1
-            while dream.rows[b - 1][l - 1 : r] == full:
-                b += 1
-            if _reads(dream, b, l, r, BUMP, BUMP + ELBOW):
-                h, v = cross_pipes[(t, r)]
-                out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
-    out.sort(key=move_order)
-    return out
+def _row_ints(n: int, mask: int) -> list[int]:
+    """The interiors of rows 1..n-1 of the cross mask, one int each with
+    bit c - 1 for column c, after a 0 for row 0."""
+    offsets = _layout(n)[0]
+    return [0] + [(mask >> offsets[r]) & ((1 << (n - r)) - 1) for r in range(1, n)]
 
 
 # a fiber's move edges repeat few moves (116 distinct among the 10,654
-# edges of 12438765), so the scan shares one immutable ChuteMove per
+# edges of 12438765), so the scans share one immutable ChuteMove per
 # rectangle and pipe pair; the bound keeps a large n from holding them all
 _shared_move = lru_cache(maxsize=4096)(ChuteMove)
+
+
+def move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int]]:
+    """The moves that apply to the dream of size n with cross mask
+    ``mask`` (see ``pipedream.route_crosses``), unsorted, each with the
+    two bits that applying it flips: its northeast cross and its
+    southwest bump.  One scan per northeast cross; the pipe pair is read
+    off ``cross_pipes`` there.
+
+    Each row is read run by run: every cross r of a run of crosses shares
+    the run's l, the bump just left of it.  A column past a row's interior
+    reads 0, as a bump does, so the bottom row's east end may also be an
+    elbow; (b - 1, r) is a cross, so (b, r) lies in the staircase."""
+    offsets = _layout(n)[0]
+    rows = _row_ints(n, mask)
+    out = []
+    for t in range(1, n - 1):
+        row = rows[t]
+        while row:
+            low = row & -row
+            l = low.bit_length() - 1
+            end = ((row + low) & ~row).bit_length()
+            if l:
+                west = 1 << (l - 1)
+                for r in range(l + 1, end):
+                    east = 1 << (r - 1)
+                    full = (east << 1) - west
+                    b = t + 1
+                    while rows[b] & full == full:
+                        b += 1
+                    # the bottom row reads B C...C B/E on columns l..r
+                    if rows[b] & full == full - west - east:
+                        h, v = cross_pipes[(t, r)]
+                        flip = (east << offsets[t]) | (west << offsets[b])
+                        out.append((_shared_move(t, b, l, r, min(h, v), max(h, v)), flip))
+            row &= row + low
+    return out
+
+
+def find_moves(dream: PipeDream) -> list[ChuteMove]:
+    """All applicable moves, sorted by (top, left, bottom, right):
+    ``move_scan`` on the dream's cross mask and routing."""
+    n = dream.n
+    cross_pipes = trace(dream).cross_pipes
+    out = [mv for mv, _flip in move_scan(n, _cross_mask(dream.rows)[0], cross_pipes)]
+    out.sort(key=move_order)
+    return out
 
 
 def inverse_move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int]]:
@@ -162,12 +169,12 @@ def inverse_move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteM
     ``cross_pipes`` at the southwest corner, where the moved crossing now
     sits.
 
-    Each row's interior is an int, bit c - 1 for column c, and is read run
-    by run: every cross l of a run of crosses shares the run's r, the
-    first non-cross after it (a row ends in an elbow, so r stays in the
-    row), and columns l..r of every row above lie inside the staircase."""
+    Each row is read run by run: every cross l of a run of crosses shares
+    the run's r, the first non-cross after it (a row ends in an elbow, so
+    r stays in the row), and columns l..r of every row above lie inside
+    the staircase."""
     offsets = _layout(n)[0]
-    rows = [0] + [(mask >> offsets[r]) & ((1 << (n - r)) - 1) for r in range(1, n)]
+    rows = _row_ints(n, mask)
     out = []
     for b in range(2, n):
         row = rows[b]
@@ -200,52 +207,38 @@ def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
     return out
 
 
-def _swapped(rows: tuple[str, ...], move: ChuteMove, undo: bool) -> tuple[str, ...]:
-    """The rows with the move's two corner tiles swapped, unchecked: the
-    southwest bump becomes a cross and the northeast cross a bump, or the
-    reverse with ``undo``."""
-    t, b, l, r = move.rect
-    southwest, northeast = (BUMP, CROSS) if undo else (CROSS, BUMP)
-    out = list(rows)
-    out[b - 1] = out[b - 1][: l - 1] + southwest + out[b - 1][l:]
-    out[t - 1] = out[t - 1][: r - 1] + northeast + out[t - 1][r:]
-    return tuple(out)
-
-
-def moved_rows(dream: PipeDream, move: ChuteMove, undo: bool = False) -> tuple[str, ...]:
-    """Rows of the dream after the move, or after undoing it; rejects
-    rectangles whose tiles do not match.  Only the rows are built, so a
-    caller can look the result up before paying for a ``PipeDream``."""
-    t, b, l, r = move.rect
-    if not _fits(dream, t, b, l, r, after=undo):
-        raise ValueError(
-            f"move {move} cannot be undone here" if undo else f"move {move} is not applicable"
-        )
-    return _swapped(dream.rows, move, undo)
-
-
 def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
-    """Perform the move; rejects rectangles whose tiles do not match."""
-    return PipeDream(moved_rows(dream, move))
+    """Perform the move; rejects a move, pipe pair included, that
+    ``move_scan`` does not find on this dream."""
+    n, mask = dream.n, _cross_mask(dream.rows)[0]
+    for mv, flip in move_scan(n, mask, trace(dream).cross_pipes):
+        if mv == move:
+            return PipeDream(_mask_rows(n, mask ^ flip))
+    raise ValueError(f"move {move} is not applicable")
 
 
 def inverse_apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
-    """Undo the move; rejects rectangles whose tiles do not match."""
-    return PipeDream(moved_rows(dream, move, undo=True))
+    """Undo the move; rejects a move, pipe pair included, that
+    ``inverse_move_scan`` does not find on this dream."""
+    n, mask = dream.n, _cross_mask(dream.rows)[0]
+    for mv, flip in inverse_move_scan(n, mask, trace(dream).cross_pipes):
+        if mv == move:
+            return PipeDream(_mask_rows(n, mask ^ flip))
+    raise ValueError(f"move {move} cannot be undone here")
 
 
 def vertical_pipes(dream: PipeDream, move: ChuteMove) -> tuple[int, ...]:
     """Labels of the pipes crossing vertically through the move rectangle:
     those passing through cross tiles of a single column spanning all of
-    rows top..bottom.  Such columns are read off the tile pattern and the
-    pipe is identified at the bottom box."""
-    routing = trace(dream)
+    rows top..bottom.  Such columns are the set bits of the AND of those
+    rows' ints on columns left..right, and the pipe is identified at the
+    bottom box."""
     t, b, l, r = move.rect
-    labels = []
-    for col in range(l, r + 1):
-        if all(dream.tile(row, col) == CROSS for row in range(t, b + 1)):
-            labels.append(routing.cross_pipes[(b, col)][1])
-    return tuple(sorted(labels))
+    columns = (1 << r) - (1 << (l - 1))
+    for row in _row_ints(dream.n, _cross_mask(dream.rows)[0])[t : b + 1]:
+        columns &= row
+    cross_pipes = trace(dream).cross_pipes
+    return tuple(sorted(cross_pipes[(b, c)][1] for c in range(l, r + 1) if columns >> (c - 1) & 1))
 
 
 @dataclass(frozen=True)

@@ -495,8 +495,8 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
             # the tableau route raises what the failed check found
             vectors.append(phi_vector(dreams[k], w) if vector is None else vector)
             for mv, flip in chute.inverse_move_scan(n, mask, cross_pipes):
-                # the scan has just matched exactly the tiles that
-                # chute._fits(after=True) tests, so the flip needs no check
+                # the scan has just found the move, which is all that
+                # chute.inverse_apply checks, so the flip needs no check
                 target = mask ^ flip
                 j = ids.get(target)
                 if j is None:

@@ -7,13 +7,11 @@ import pytest
 
 from chutelat.chute import (
     ChuteMove,
-    _swapped,
     apply,
     check_increment_correspondence,
     find_inverse_moves,
     find_moves,
     inverse_apply,
-    moved_rows,
     vertical_pipes,
 )
 from chutelat.perm import Permutation
@@ -74,6 +72,12 @@ def test_chain_2143_frozen():
     assert seed_dream(Permutation.parse("2143")) == top
 
 
+def _assert_rejects(step, dream, move):
+    words = "is not applicable" if step is apply else "cannot be undone here"
+    with pytest.raises(ValueError, match=f"^move {re.escape(str(move))} {words}$"):
+        step(dream, move)
+
+
 def test_apply_rejects_mismatched_pattern():
     bottom = PipeDream(("CBCE", "BBE", "BE", "E"))
     with pytest.raises(ValueError):
@@ -86,37 +90,31 @@ def test_apply_rejects_mismatched_pattern():
             step(bottom, ChuteMove(2, 3, 1, 3, 1, 2))
 
 
-def test_moved_rows_rejects_what_apply_and_inverse_apply_reject():
+def test_rejections_name_the_move_and_direction():
     bottom = PipeDream(("CBCE", "BBE", "BE", "E"))
+    _assert_rejects(inverse_apply, bottom, ChuteMove(1, 2, 2, 3, 3, 4))
     # the first rectangle has the wrong tiles, the second would reach box
     # (3, 3), outside the staircase
     for move in (ChuteMove(2, 3, 1, 2, 3, 4), ChuteMove(2, 3, 1, 3, 1, 2)):
-        for undo, step, words in (
-            (True, inverse_apply, "cannot be undone here"),
-            (False, apply, "is not applicable"),
-        ):
-            message = f"^move {re.escape(str(move))} {words}$"
-            with pytest.raises(ValueError, match=message):
-                moved_rows(bottom, move, undo=undo)
-            with pytest.raises(ValueError, match=message):
-                step(bottom, move)
+        for step in (apply, inverse_apply):
+            _assert_rejects(step, bottom, move)
 
 
-def test_unchecked_swap_matches_moved_rows_on_every_move():
-    # the build swaps the corners of each move find_inverse_moves returns
-    # without moved_rows' tile check; both give the same rows
-    words = [w for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
-    words.append(Permutation.parse("12438765").word)
-    swaps = 0
-    for word in words:
-        for d in cached_poset(Permutation(word)).elements:
-            for mv in find_inverse_moves(d):
-                assert _swapped(d.rows, mv, undo=True) == moved_rows(d, mv, undo=True)
-                swaps += 1
-            for mv in find_moves(d):
-                assert _swapped(d.rows, mv, undo=False) == moved_rows(d, mv)
-    # 12438765 alone has 10,654 move edges, each undone once in its build
-    assert swaps > 10_654
+def test_apply_rejects_a_wrong_pipe_pair():
+    # a move is its rectangle and the pair crossing at its corner: the
+    # rectangle of FIXTURE's first move under any other inversion pair is
+    # neither a move of FIXTURE nor one that produced the moved dream, and
+    # the increment check must reject it rather than report a violation
+    m = find_moves(FIXTURE)[0]
+    moved = apply(FIXTURE, m)
+    others = sorted(trace(FIXTURE).wiring.inversions() - {m.pipes})
+    assert (2, 3) in others
+    for i, j in others:
+        wrong = ChuteMove(*m.rect, i, j)
+        _assert_rejects(apply, FIXTURE, wrong)
+        _assert_rejects(inverse_apply, moved, wrong)
+        with pytest.raises(ValueError, match="is not applicable$"):
+            check_increment_correspondence(FIXTURE, wrong)
 
 
 def test_apply_preserves_wiring_and_crosses():

@@ -5,6 +5,11 @@ which is O(n^4) rectangles per dream; the fast path in ``chutelat.chute``
 scans one corner per cross.  Both must return the same moves, in the same
 order and with the same pipe pairs.
 
+``swapped_rows`` and ``tile_vertical_pipes`` are the string routes that
+``apply``, ``inverse_apply`` and ``vertical_pipes`` replaced: the first
+swaps a move's two corner tiles, the second reads the rectangle's columns
+tile by tile.  Both must give what the mask routes give on every move.
+
 ``two_way_enumerate`` is the undirected search by moves and inverse moves
 that ``enumerate_poset`` used before it searched downward from the top
 dream alone.  Both must build the same poset: the same elements in the
@@ -17,7 +22,14 @@ import random
 import pytest
 
 from chutelat import chute
-from chutelat.chute import ChuteMove, apply, find_inverse_moves, find_moves, inverse_apply
+from chutelat.chute import (
+    ChuteMove,
+    apply,
+    find_inverse_moves,
+    find_moves,
+    inverse_apply,
+    vertical_pipes,
+)
 from chutelat.perm import Permutation
 from chutelat.pipedream import BUMP, CROSS, ELBOW, PipeDream, theta, trace
 from chutelat.poset import (
@@ -96,7 +108,10 @@ def test_moves_match_oracle_s4_to_s6():
                 assert_agrees(d)
 
 
-@pytest.mark.parametrize("n, named", [(7, "1327654"), (8, "12438765")])
+@pytest.mark.parametrize(
+    "n, named",
+    [(7, "1327654"), (8, "12438765"), (9, "132549876"), (10, "1,3,2,5,4,10,9,8,7,6")],
+)
 def test_moves_match_oracle_sampled_n7_n8(n, named):
     # a seeded walk along the oracle's own moves from the seed dream of
     # each sampled permutation, checking the fast path at every step
@@ -114,6 +129,49 @@ def test_moves_match_oracle_sampled_n7_n8(n, named):
             step, m = rng.choice(steps)
             d = step(d, m)
             assert trace(d).wiring == w
+
+
+def swapped_rows(rows, move, undo=False):
+    """The rows with the move's two corner tiles swapped, unchecked: the
+    southwest bump becomes a cross and the northeast cross a bump, or the
+    reverse with ``undo``."""
+    t, b, l, r = move.rect
+    southwest, northeast = (BUMP, CROSS) if undo else (CROSS, BUMP)
+    out = list(rows)
+    out[b - 1] = out[b - 1][: l - 1] + southwest + out[b - 1][l:]
+    out[t - 1] = out[t - 1][: r - 1] + northeast + out[t - 1][r:]
+    return tuple(out)
+
+
+def tile_vertical_pipes(dream, move):
+    """The pipes through the columns of the rectangle that are crosses on
+    every row top..bottom, read tile by tile and named at the bottom box."""
+    cross_pipes = trace(dream).cross_pipes
+    t, b, l, r = move.rect
+    labels = [
+        cross_pipes[(b, col)][1]
+        for col in range(l, r + 1)
+        if all(dream.tile(row, col) == CROSS for row in range(t, b + 1))
+    ]
+    return tuple(sorted(labels))
+
+
+def test_apply_undo_and_vertical_pipes_match_tile_oracles():
+    words = [w for n in range(4, 7) for w in itertools.permutations(range(1, n + 1))]
+    words.append(Permutation.parse("12438765").word)
+    moves = 0
+    for word in words:
+        for d in cached_poset(Permutation(word)).elements:
+            for mv in find_moves(d):
+                after = apply(d, mv)
+                assert after.rows == swapped_rows(d.rows, mv), (d, mv)
+                assert vertical_pipes(d, mv) == tile_vertical_pipes(d, mv), (d, mv)
+                assert vertical_pipes(after, mv) == tile_vertical_pipes(after, mv), (d, mv)
+                moves += 1
+            for mv in find_inverse_moves(d):
+                assert inverse_apply(d, mv).rows == swapped_rows(d.rows, mv, undo=True), (d, mv)
+    # 12438765 alone has 10,654 move edges
+    assert moves > 10_654
 
 
 def two_way_enumerate(w: Permutation) -> ChutePoset:
