@@ -28,8 +28,9 @@ per cross, where the rectangle search tested O(n^4) rectangles box by box.
 
 ``move_scan`` and ``inverse_move_scan`` run on a dream's cross mask (see
 ``pipedream.route_crosses``), one int per row, so a span test is one AND
-and a comparison; ``find_moves`` and ``find_inverse_moves`` sort what
-they find on a ``PipeDream``.  With each move a scan hands back the two
+and a comparison, and read a move's pipe pair off the router's pairs by
+mask bit; ``find_moves`` and ``find_inverse_moves`` sort what they find
+on a ``PipeDream``.  With each move a scan hands back the two
 bits the move flips, so ``apply`` and ``inverse_apply`` are scan
 membership, pipe pair included, plus one XOR on the mask.  The tile
 letters stay inside ``pipedream``.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TheoremViolation
-from .pipedream import PipeDream, _cross_mask, _layout, _mask_rows, theta, trace
+from .pipedream import PipeDream, _cross_mask, _layout, theta, trace
 from .tableaux import InversionsTableau, increment, increment_multiset
 
 __all__ = [
@@ -102,10 +103,9 @@ def move_order(move: ChuteMove) -> tuple[int, int, int, int]:
 
 
 def _row_ints(n: int, mask: int) -> list[int]:
-    """The interiors of rows 1..n-1 of the cross mask, one int each with
-    bit c - 1 for column c, after a 0 for row 0."""
-    offsets = _layout(n)[0]
-    return [0] + [(mask >> offsets[r]) & ((1 << (n - r)) - 1) for r in range(1, n)]
+    """The interiors of rows 1..n of the cross mask, one int each with bit
+    c - 1 for column c, after a 0 for row 0; row n has none and reads 0."""
+    return [0] + [(mask >> at) & bits for _length, at, bits in _layout(n)[3]]
 
 
 # a fiber's move edges repeat few moves (116 distinct among the 10,654
@@ -114,12 +114,12 @@ def _row_ints(n: int, mask: int) -> list[int]:
 _shared_move = lru_cache(maxsize=4096)(ChuteMove)
 
 
-def move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int]]:
+def move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, int]]:
     """The moves that apply to the dream of size n with cross mask
-    ``mask`` (see ``pipedream.route_crosses``), unsorted, each with the
-    two bits that applying it flips: its northeast cross and its
-    southwest bump.  One scan per northeast cross; the pipe pair is read
-    off ``cross_pipes`` there.
+    ``mask`` and pipe pairs ``pipes`` by bit (see
+    ``pipedream.route_crosses``), unsorted, each with the two bits that
+    applying it flips: its northeast cross and its southwest bump.  One
+    scan per northeast cross; the pipe pair is read off its bit.
 
     Each row is read run by run: every cross r of a run of crosses shares
     the run's l, the bump just left of it.  A column past a row's interior
@@ -144,7 +144,7 @@ def move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int
                         b += 1
                     # the bottom row reads B C...C B/E on columns l..r
                     if rows[b] & full == full - west - east:
-                        h, v = cross_pipes[(t, r)]
+                        h, v = pipes[offsets[t] + r - 1]
                         flip = (east << offsets[t]) | (west << offsets[b])
                         out.append((_shared_move(t, b, l, r, min(h, v), max(h, v)), flip))
             row &= row + low
@@ -154,20 +154,19 @@ def move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int
 def find_moves(dream: PipeDream) -> list[ChuteMove]:
     """All applicable moves, sorted by (top, left, bottom, right):
     ``move_scan`` on the dream's cross mask and routing."""
-    n = dream.n
-    cross_pipes = trace(dream).cross_pipes
-    out = [mv for mv, _flip in move_scan(n, _cross_mask(dream.rows)[0], cross_pipes)]
+    pipes = trace(dream).pipes
+    out = [mv for mv, _flip in move_scan(dream.n, _cross_mask(dream.rows)[0], pipes)]
     out.sort(key=move_order)
     return out
 
 
-def inverse_move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteMove, int]]:
+def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, int]]:
     """The moves that produce the dream of size n with cross mask ``mask``
-    (see ``pipedream.route_crosses``), unsorted, each with the two bits
-    that undoing it flips: its southwest cross and its northeast bump.
-    One scan per southwest cross; the pipe pair is read off
-    ``cross_pipes`` at the southwest corner, where the moved crossing now
-    sits.
+    and pipe pairs ``pipes`` by bit (see ``pipedream.route_crosses``),
+    unsorted, each with the two bits that undoing it flips: its southwest
+    cross and its northeast bump.  One scan per southwest cross; the pipe
+    pair is read off the bit of the southwest corner, where the moved
+    crossing now sits.
 
     Each row is read run by run: every cross l of a run of crosses shares
     the run's r, the first non-cross after it (a row ends in an elbow, so
@@ -178,21 +177,24 @@ def inverse_move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteM
     out = []
     for b in range(2, n):
         row = rows[b]
+        at = offsets[b]
         while row:
             low = row & -row
             # adding the run's lowest bit clears the run and carries into r
             r = ((row + low) & ~row).bit_length()
+            east = 1 << (r - 1)
             for l in range(low.bit_length(), r):
                 west = 1 << (l - 1)
-                full = (1 << r) - west
+                full = (east << 1) - west
                 t = b - 1
                 while t and rows[t] & full == full:
                     t -= 1
                 # the top row reads B C...C B on columns l..r
-                if t and rows[t] & full == full - west - (1 << (r - 1)):
-                    h, v = cross_pipes[(b, l)]
-                    flip = (west << offsets[b]) | (1 << (offsets[t] + r - 1))
-                    out.append((_shared_move(t, b, l, r, min(h, v), max(h, v)), flip))
+                if t and rows[t] & full == full - west - east:
+                    h, v = pipes[at + l - 1]
+                    lo, hi = (h, v) if h < v else (v, h)
+                    flip = (west << at) | (east << offsets[t])
+                    out.append((_shared_move(t, b, l, r, lo, hi), flip))
             row &= row + low
     return out
 
@@ -200,9 +202,8 @@ def inverse_move_scan(n: int, mask: int, cross_pipes: dict) -> list[tuple[ChuteM
 def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
     """All moves that produce this dream, sorted like ``find_moves``:
     ``inverse_move_scan`` on the dream's cross mask and routing."""
-    n = dream.n
-    cross_pipes = trace(dream).cross_pipes
-    out = [mv for mv, _flip in inverse_move_scan(n, _cross_mask(dream.rows)[0], cross_pipes)]
+    pipes = trace(dream).pipes
+    out = [mv for mv, _flip in inverse_move_scan(dream.n, _cross_mask(dream.rows)[0], pipes)]
     out.sort(key=move_order)
     return out
 
@@ -211,9 +212,9 @@ def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Perform the move; rejects a move, pipe pair included, that
     ``move_scan`` does not find on this dream."""
     n, mask = dream.n, _cross_mask(dream.rows)[0]
-    for mv, flip in move_scan(n, mask, trace(dream).cross_pipes):
+    for mv, flip in move_scan(n, mask, trace(dream).pipes):
         if mv == move:
-            return PipeDream(_mask_rows(n, mask ^ flip))
+            return PipeDream._from_mask(n, mask ^ flip)
     raise ValueError(f"move {move} is not applicable")
 
 
@@ -221,9 +222,9 @@ def inverse_apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Undo the move; rejects a move, pipe pair included, that
     ``inverse_move_scan`` does not find on this dream."""
     n, mask = dream.n, _cross_mask(dream.rows)[0]
-    for mv, flip in inverse_move_scan(n, mask, trace(dream).cross_pipes):
+    for mv, flip in inverse_move_scan(n, mask, trace(dream).pipes):
         if mv == move:
-            return PipeDream(_mask_rows(n, mask ^ flip))
+            return PipeDream._from_mask(n, mask ^ flip)
     raise ValueError(f"move {move} cannot be undone here")
 
 
@@ -237,8 +238,8 @@ def vertical_pipes(dream: PipeDream, move: ChuteMove) -> tuple[int, ...]:
     columns = (1 << r) - (1 << (l - 1))
     for row in _row_ints(dream.n, _cross_mask(dream.rows)[0])[t : b + 1]:
         columns &= row
-    cross_pipes = trace(dream).cross_pipes
-    return tuple(sorted(cross_pipes[(b, c)][1] for c in range(l, r + 1) if columns >> (c - 1) & 1))
+    pipes, base = trace(dream).pipes, _layout(dream.n)[0][b] - 1
+    return tuple(sorted(pipes[base + c][1] for c in range(l, r + 1) if columns >> (c - 1) & 1))
 
 
 @dataclass(frozen=True)

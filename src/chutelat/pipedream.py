@@ -25,6 +25,7 @@ from .tableaux import (
     InversionsTableau,
     LehmerTableau,
     _check_json_n,
+    _column_starts,
     _relabel,
     _support,
     lehmer_form,
@@ -122,6 +123,22 @@ class PipeDream:
             updates[(r, c)] = CROSS
         return dream.with_tiles(updates)
 
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "PipeDream":
+        """The dream of size n whose crosses are the set bits of ``mask``
+        (interior bits only), made without ``__post_init__``.
+
+        Its rows are ``_mask_rows(n, mask)``, a tuple of n rows, row r
+        being ``_row(n + 1 - r, bits)``: n - r tiles each a cross or a
+        bump, then one elbow.  So row r has length n + 1 - r, every tile
+        is C, B or E, and the one elbow is at column c = n + 1 - r, where
+        r + c = n + 1.  That is everything ``__post_init__`` checks, so it
+        would pass on every such tuple; ``PipeDream(rows)`` stays the
+        validator for rows from anywhere else."""
+        dream = object.__new__(cls)
+        object.__setattr__(dream, "rows", _mask_rows(n, mask))
+        return dream
+
     def to_json(self) -> dict:
         return {"n": self.n, "rows": list(self.rows)}
 
@@ -147,14 +164,15 @@ class Routing:
     """Everything the tracer learns in one pass over a dream."""
 
     wiring: Permutation
-    # cross box -> (pipe passing west-to-east, pipe passing south-to-north)
-    cross_pipes: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
+    # per mask bit (see _layout): (pipe passing west-to-east, pipe passing
+    # south-to-north) at a cross, None at a bump
+    pipes: list = field(repr=False)
 
     @property
     def reduced(self) -> bool:
         """No pair of pipes crosses more than once."""
-        pairs = {(h, v) if h < v else (v, h) for h, v in self.cross_pipes.values()}
-        return len(pairs) == len(self.cross_pipes)
+        pairs = [pair for pair in self.pipes if pair is not None]
+        return len({(h, v) if h < v else (v, h) for h, v in pairs}) == len(pairs)
 
 
 # Cross masks.  Interior box (r, c), r + c <= n, is bit offset[r] + c - 1
@@ -163,12 +181,19 @@ class Routing:
 
 
 @lru_cache(maxsize=64)
-def _layout(n: int) -> tuple[tuple[int, ...], tuple]:
-    """``offsets[r]``, the bit of box (r, 1), for r = 0..n, and per bit the
-    box and its west slot r + c - 1."""
+def _layout(n: int) -> tuple:
+    """``offsets[r]``, the bit of box (r, 1), for r = 0..n; per bit of box
+    (r, c) its west slot r + c - 1 and its row r; and per row r = 1..n
+    its length n + 1 - r, ``offsets[r]`` and the mask of its n - r
+    interior bits."""
     offsets = tuple((n - r) * (n - r - 1) // 2 for r in range(n + 1))
-    cells = tuple(((r, c), r + c - 1) for r in range(n - 1, 0, -1) for c in range(1, n + 1 - r))
-    return offsets, cells
+    boxes = [(r, c) for r in range(n - 1, 0, -1) for c in range(1, n + 1 - r)]
+    return (
+        offsets,
+        tuple(r + c - 1 for r, c in boxes),
+        tuple(r for r, _c in boxes),
+        tuple((n + 1 - r, offsets[r], (1 << (n - r)) - 1) for r in range(1, n + 1)),
+    )
 
 
 _CROSS_BITS = str.maketrans({CROSS: "1", BUMP: "0"})
@@ -202,17 +227,15 @@ def _row(length: int, bits: int) -> str:
 
 def _mask_rows(n: int, mask: int) -> tuple[str, ...]:
     """The rows of the dream of size n whose crosses are the set bits."""
-    offsets = _layout(n)[0]
-    return tuple(
-        _row(n + 1 - r, (mask >> offsets[r]) & ((1 << (n - r)) - 1)) for r in range(1, n + 1)
-    )
+    return tuple([_row(length, (mask >> at) & bits) for length, at, bits in _layout(n)[3]])
 
 
-def route_crosses(n: int, mask: int) -> tuple[list[int], dict]:
+def route_crosses(n: int, mask: int) -> tuple[list[int], list]:
     """Route the pipes of a dream of size n given by its cross mask: the
     labels by slot after the last cross (``labels[c]`` exits at column c)
-    and the map from each cross box to (pipe from the west, pipe from the
-    south).
+    and the pipe pairs by mask bit, ``pipes[offsets[r] + c - 1]`` being
+    (pipe from the west, pipe from the south) at cross (r, c) and None at
+    a bump.
 
     Slot s is the anti-diagonal position of an edge: the west and north
     edges of box (r, c) are slot r + c - 1, its south and east edges slot
@@ -226,19 +249,22 @@ def route_crosses(n: int, mask: int) -> tuple[list[int], dict]:
     neighbours visited first, and the bit order (rows bottom to top, each
     left to right) is such an order, so the set bits are read lowest
     first.  The pair crossing at a box is the two slots' labels before
-    the swap.
+    the swap.  The pairs are stored by bit, so every reader (the Lehmer
+    vector, the move scans) finds a box's pair by index, with no box
+    tuple built or hashed.
     """
-    cells = _layout(n)[1]
+    slots = _layout(n)[1]
     labels = list(range(n + 1))
-    cross_pipes = {}
+    pipes = [None] * len(slots)
     while mask:
         low = mask & -mask
         mask ^= low
-        box, a = cells[low.bit_length() - 1]
+        b = low.bit_length() - 1
+        a = slots[b]
         west, south = labels[a], labels[a + 1]
-        cross_pipes[box] = (west, south)
+        pipes[b] = (west, south)
         labels[a], labels[a + 1] = south, west
-    return labels, cross_pipes
+    return labels, pipes
 
 
 @lru_cache(maxsize=1)
@@ -258,14 +284,14 @@ def trace(dream: PipeDream) -> Routing:
     """
     n = dream.n
     mask, elbow = _cross_mask(dream.rows)
-    labels, cross_pipes = route_crosses(n, mask)
+    labels, pipes = route_crosses(n, mask)
     if elbow is not None:
         r, c = elbow
         raise TheoremViolation(
             f"pipe {labels[r + c]} entered boundary box ({r},{c}) from the south",
             witness={"dream": dream.to_json(), "pipe": labels[r + c], "box": [r, c]},
         )
-    return Routing(Permutation(tuple(labels[1:])), cross_pipes)
+    return Routing(Permutation(tuple(labels[1:])), pipes)
 
 
 def is_reduced(dream: PipeDream) -> bool:
@@ -281,9 +307,11 @@ def theta(dream: PipeDream) -> InversionsTableau:
         raise ValueError("crossing-row tableau needs a reduced dream")
     n = dream.n
     rows = [[0] * (n - i) for i in range(1, n)]
-    for (r, _c), (h, v) in routing.cross_pipes.items():
-        lo, hi = (h, v) if h < v else (v, h)
-        rows[lo - 1][hi - lo - 1] = r
+    for r, pair in zip(_layout(n)[2], routing.pipes):
+        if pair is not None:
+            h, v = pair
+            lo, hi = (h, v) if h < v else (v, h)
+            rows[lo - 1][hi - lo - 1] = r
     return InversionsTableau(tuple(tuple(r) for r in rows), routing.wiring)
 
 
@@ -293,20 +321,37 @@ def phi(dream: PipeDream) -> LehmerTableau:
     return lehmer_form(t, t.w)
 
 
-def _crossing_vector(cross_pipes: dict, w: Permutation) -> tuple[int, ...] | None:
-    """The Lehmer vector of w read off a routing's crossings, or None when
-    a check of ``lehmer_vector`` fails: the crossing pairs must be exactly
-    the inversions of w, one crossing each and no other pair, and the
-    crossing rows distinct within each column.  Each column is relabeled
-    bottom to top by ``tableaux._relabel``, as ``lehmer_vector`` does."""
-    inv = w.inversions()
-    if len(cross_pipes) != len(inv):
+def _lehmer_slots(w: Permutation) -> tuple[dict, tuple[bool, ...], tuple[int, ...]]:
+    """The table ``_crossing_vector`` reads a dream of w with: each
+    inversion (i, j) of w, under both (i, j) and (j, i), mapped to its
+    slot in the Lehmer vector, the (column, row) order of ``_support``;
+    per slot, whether it starts its column; and the row of each mask bit.
+    A build computes it once and reads every element with it."""
+    slot = {}
+    for s, (i, j) in enumerate(_support(w)):
+        slot[i, j] = slot[j, i] = s
+    return slot, _column_starts(w), _layout(w.n)[2]
+
+
+def _crossing_vector(pipes: list, table: tuple) -> tuple[int, ...] | None:
+    """The Lehmer vector of w read off a routing's pipe pairs by bit, with
+    ``table = _lehmer_slots(w)``, or None when a check of
+    ``lehmer_vector`` fails: the crossing pairs must be exactly the
+    inversions of w, one crossing each and no other pair, and the
+    crossing rows distinct within each column.  Each crossing row lands
+    in its pair's slot, and ``tableaux._relabel`` relabels the columns."""
+    slot, starts, bit_rows = table
+    entries = [0] * len(starts)
+    if len(pipes) - pipes.count(None) != len(entries):
         return None
-    # box (lo, hi) of the crossing-row tableau holds the crossing row
-    entries = {((h, v) if h < v else (v, h)): r for (r, _c), (h, v) in cross_pipes.items()}
-    if entries.keys() != inv:
-        return None
-    return _relabel((j, entries[i, j]) for i, j in _support(w))
+    for r, pair in zip(bit_rows, pipes):
+        if pair is not None:
+            s = slot.get(pair)
+            # not an inversion, or an inversion crossing twice
+            if s is None or entries[s]:
+                return None
+            entries[s] = r
+    return _relabel(starts, entries)
 
 
 def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
@@ -317,9 +362,9 @@ def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
     ``lehmer_vector(theta(dream), w)`` runs instead, so every error keeps
     its type and message.
     """
-    cross_pipes = trace(dream).cross_pipes
+    pipes = trace(dream).pipes
     if dream.n == w.n:
-        vector = _crossing_vector(cross_pipes, w)
+        vector = _crossing_vector(pipes, _lehmer_slots(w))
         if vector is not None:
             return vector
     return lehmer_vector(theta(dream), w)

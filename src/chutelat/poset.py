@@ -35,7 +35,7 @@ from .pipedream import (
     PipeDream,
     _cross_mask,
     _crossing_vector,
-    _mask_rows,
+    _lehmer_slots,
     is_reduced,
     phi,
     phi_vector,
@@ -439,6 +439,23 @@ def _undirected_depth(up: list[list]) -> list[int]:
     return depth
 
 
+def _vector_or_violation(w: Permutation, dreams: list, up: list, k: int) -> tuple[int, ...]:
+    """Element k's Lehmer vector by ``phi_vector``'s tableau route, for a
+    dream whose crossing read failed; the ValueError naming the failed
+    check becomes a TheoremViolation with the dream and its source, the
+    element whose inverse move first reached it (``up[k][0]``), as
+    witness."""
+    try:
+        return phi_vector(dreams[k], w)
+    except ValueError as exc:
+        witness = {"w": str(w), "dream": dreams[k].to_json()}
+        if k:
+            mv, source = up[k][0]
+            witness["source"] = dreams[source].to_json()
+            witness["move"] = mv.to_json()
+        raise TheoremViolation(str(exc), witness=witness) from None
+
+
 def enumerate_poset(w: Permutation) -> ChutePoset:
     """Downward breadth-first search from the seed dream by inverse moves
     alone, searching each element once.
@@ -455,13 +472,22 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     The search carries each dream as its cross mask (see
     ``pipedream.route_crosses``) and routes each element once, the seed
     through ``trace`` and every other element by ``route_crosses`` on its
-    mask.  The routing gives both the Lehmer vector, by
-    ``pipedream._crossing_vector`` with ``phi_vector``'s fallback when a
-    check fails, and the pipe pairs of ``chute.inverse_move_scan``.  Each
-    inverse move's target is its source's mask with two bits flipped and
-    is looked up by that int; a ``PipeDream`` is built, with its full
-    validation, only for a mask not reached before, from rows shared
-    through a bounded cache of row strings.
+    mask.  That one routing pass gives everything the element needs: its
+    pipe pairs by mask bit are read into the Lehmer vector by
+    ``pipedream._crossing_vector``, through a table of w's inversion
+    slots built once per build, and give ``chute.inverse_move_scan`` each
+    move's pipe pair by index.  Each inverse move's target is its
+    source's mask with two bits flipped and is looked up by that int; a
+    ``PipeDream`` is made only for a mask not reached before, by
+    ``PipeDream._from_mask`` from rows shared through a bounded cache of
+    row strings, which are valid by construction and so not re-checked.
+
+    When the vector read fails a check, ``phi_vector``'s tableau route
+    names the failure, and it is raised as a TheoremViolation carrying
+    w, the dream and the dream it was first reached from by an inverse
+    move, with that move: every element but the seed is the target of a
+    found move, so a failure there is a broken move or a broken read,
+    never bad input.
 
     The seed's wiring and its having no up-move are re-checked at runtime;
     either failing means the seed construction itself is broken, so it
@@ -486,15 +512,18 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         dreams = [seed]
         vectors = []
         up: list[list] = [[]]
-        cross_pipes = routing.cross_pipes
+        slots = _lehmer_slots(w)
+        pipes = routing.pipes
+        route, scan, from_mask = route_crosses, chute.inverse_move_scan, PipeDream._from_mask
         # masks grows while it is walked, which makes it the BFS queue
         for k, mask in enumerate(masks):
             if k:
-                cross_pipes = route_crosses(n, mask)[1]
-            vector = _crossing_vector(cross_pipes, w)
-            # the tableau route raises what the failed check found
-            vectors.append(phi_vector(dreams[k], w) if vector is None else vector)
-            for mv, flip in chute.inverse_move_scan(n, mask, cross_pipes):
+                pipes = route(n, mask)[1]
+            vector = _crossing_vector(pipes, slots)
+            if vector is None:
+                vector = _vector_or_violation(w, dreams, up, k)
+            vectors.append(vector)
+            for mv, flip in scan(n, mask, pipes):
                 # the scan has just found the move, which is all that
                 # chute.inverse_apply checks, so the flip needs no check
                 target = mask ^ flip
@@ -502,7 +531,7 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
                 if j is None:
                     j = ids[target] = len(masks)
                     masks.append(target)
-                    dreams.append(PipeDream(_mask_rows(n, target)))
+                    dreams.append(from_mask(n, target))
                     up.append([])
                 up[j].append((mv, k))
         depth = _undirected_depth(up)

@@ -18,7 +18,6 @@ Three nested families appear here:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -314,21 +313,32 @@ def validate_inversions_tableau(t: StairTableau, w: Permutation) -> ValidationRe
 # the Lehmer bijection
 
 
-def _relabel(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...] | None:
-    """Column-local relabeling of (column, entry) pairs given in (column,
-    row) order: each entry a becomes the number of positive integers below
-    a that are missing from the entries under it in its column.  None when
-    an entry repeats in its column."""
+@lru_cache(maxsize=64)
+def _column_starts(w: Permutation) -> tuple[bool, ...]:
+    """Per box of ``_support(w)``, whether it is the lowest of its column."""
+    support = _support(w)
+    return tuple(s == 0 or support[s - 1][1] != j for s, (_i, j) in enumerate(support))
+
+
+def _relabel(starts: tuple[bool, ...], entries: list[int]) -> tuple[int, ...] | None:
+    """Column-local relabeling of positive entries given in (column, row)
+    order, a new column beginning at each entry whose flag in ``starts``
+    is set: each entry v becomes the number of positive integers below v
+    that are missing from the entries under it in its column, v - 1 minus
+    the count of smaller entries below, read off a bitmask of the
+    column's entries so far.  None when an entry repeats in its column.
+    The bitmask has a bit per value, so the entries should be small:
+    crossing rows, or ranks."""
     out = []
-    column, below = None, []
-    for j, v in pairs:
-        if j != column:
-            column, below = j, []
-        at = bisect_left(below, v)
-        if at < len(below) and below[at] == v:
+    seen = 0
+    for start, v in zip(starts, entries):
+        if start:
+            seen = 0
+        bit = 1 << v
+        if seen & bit:
             return None
-        out.append(v - 1 - at)
-        below.insert(at, v)
+        out.append(v - 1 - (seen & (bit - 1)).bit_count())
+        seen |= bit
     return tuple(out)
 
 
@@ -339,10 +349,17 @@ def lehmer_vector(t: StairTableau, w: Permutation) -> tuple[int, ...]:
     res = _column_scan(t, w, row_bound=False)
     if not res:
         raise ValueError(f"not column-injective for {w}: {res.message}")
-    # the scan passed, so the entries on the inversions are nonzero and
-    # distinct in each column, and _relabel returns a vector
     rows = t.rows
-    return _relabel((j, rows[i - 1][j - i - 1]) for i, j in _support(w))
+    entries = [rows[i - 1][j - i - 1] for i, j in _support(w)]
+    # a column-injective entry may be any positive int, so _relabel reads
+    # the entries' ranks, which compare as the entries do: entry v of rank
+    # k relabels to v - k plus its rank's relabel.  The scan passed, so
+    # the entries are distinct in each column and _relabel returns a vector
+    rank = {v: k for k, v in enumerate(sorted(set(entries)), start=1)}
+    ranks = [rank[v] for v in entries]
+    return tuple(
+        v - k + m for v, k, m in zip(entries, ranks, _relabel(_column_starts(w), ranks))
+    )
 
 
 def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import chutelat
+from chutelat import chute
 from chutelat import cli as cli_module
 from chutelat.cli import main
 from chutelat.perm import Permutation
@@ -88,6 +89,35 @@ def test_verify_report(capsys):
     report = json.loads(out)
     assert report["w"] == "1432"
     assert [c["status"] for c in report["checks"]] == ["pass"] * 6
+
+
+def test_verify_reports_a_failed_vector_read_as_a_violation(capsys, monkeypatch):
+    # an inverse-move scan that keeps only the lower flip bit, the cross
+    # each undone move removes, reaches dreams short of a crossing; their
+    # Lehmer vector read fails inside the build, which is a violation
+    # with a witness (exit 1), not a usage error (exit 2)
+    scan = chute.inverse_move_scan
+    monkeypatch.setattr(
+        chute, "inverse_move_scan",
+        lambda n, mask, pipes: [(mv, flip & -flip) for mv, flip in scan(n, mask, pipes)],
+    )
+    cached_poset.cache_clear()
+    code, out, err = run(capsys, "verify", "1432")
+    assert code == 1
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["fail"] * 6
+    failure = checks[0]["witness"]
+    assert failure["message"] == (
+        "not column-injective for 1432: (2,3) is an inversion of 1432 but holds 0"
+    )
+    assert failure["witness"] == {
+        "w": "1432",
+        "dream": {"n": 4, "rows": ["BBBE", "CBE", "CE", "E"]},
+        "source": {"n": 4, "rows": ["BBBE", "CCE", "CE", "E"]},
+        "move": {"rect": [1, 2, 2, 3], "pipes": [2, 3]},
+    }
+    assert all(c["witness"] == checks[0]["witness"] for c in checks)
 
 
 def test_verify_checks_subset(capsys):

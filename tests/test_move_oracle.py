@@ -41,6 +41,7 @@ from chutelat.poset import (
 )
 from chutelat.schubert import schubert_oracle
 from chutelat.tableaux import lehmer_vector
+from test_pipedream import boxes_of
 
 
 def _rect_boxes(t, b, l, r):
@@ -86,11 +87,11 @@ def oracle_moves(dream, after=False):
     """Up-moves of the dream (after=False) or the moves producing it,
     sorted by (top, left, bottom, right).  The pipe pair is read at the
     northeast corner before a move and at the southwest corner after it."""
-    routing = trace(dream)
+    cross_pipes = boxes_of(dream.n, trace(dream).pipes)
     out = []
     for (t, b, l, r) in _all_rects(dream.n):
         if _matches(dream, t, b, l, r, after):
-            h, v = routing.cross_pipes[(b, l) if after else (t, r)]
+            h, v = cross_pipes[(b, l) if after else (t, r)]
             out.append(ChuteMove(t, b, l, r, min(h, v), max(h, v)))
     out.sort(key=lambda m: (m.top, m.left, m.bottom, m.right))
     return out
@@ -146,7 +147,7 @@ def swapped_rows(rows, move, undo=False):
 def tile_vertical_pipes(dream, move):
     """The pipes through the columns of the rectangle that are crosses on
     every row top..bottom, read tile by tile and named at the bottom box."""
-    cross_pipes = trace(dream).cross_pipes
+    cross_pipes = boxes_of(dream.n, trace(dream).pipes)
     t, b, l, r = move.rect
     labels = [
         cross_pipes[(b, col)][1]
@@ -251,17 +252,28 @@ def test_downward_build_size_matches_schubert_on_seeded_n8():
 
 
 def test_downward_build_constructs_each_element_once(monkeypatch):
-    # inverse moves are deduplicated by rows, so a dream is built, and
-    # validated, only for an element not reached before: 10,654 move edges
-    # but 3003 constructions
-    built = []
+    # inverse moves are deduplicated by mask, so a dream is made only for
+    # an element not reached before: 10,654 move edges but 3003 dreams.
+    # The seed is the one dream validated; the other 3002 are made from
+    # their masks, whose rows are valid by construction
+    validated, from_masks = [], []
     validate = PipeDream.__post_init__
+    from_mask = PipeDream._from_mask
 
-    def counting(self):
-        built.append(self.rows)
+    def counting_validate(self):
+        validated.append(self.rows)
         validate(self)
 
-    monkeypatch.setattr(PipeDream, "__post_init__", counting)
-    poset = enumerate_poset(Permutation.parse("12438765"))
-    assert poset.size == len(built) == 3003
-    assert sorted(built) == sorted(d.rows for d in poset.elements)
+    def counting_from_mask(n, mask):
+        dream = from_mask(n, mask)
+        from_masks.append(dream.rows)
+        return dream
+
+    w = Permutation.parse("12438765")
+    seed_rows = seed_dream(w).rows
+    monkeypatch.setattr(PipeDream, "__post_init__", counting_validate)
+    monkeypatch.setattr(PipeDream, "_from_mask", staticmethod(counting_from_mask))
+    poset = enumerate_poset(w)
+    assert validated == [seed_rows] and len(from_masks) == 3002
+    assert poset.size == len(validated) + len(from_masks) == 3003
+    assert sorted(validated + from_masks) == sorted(d.rows for d in poset.elements)

@@ -1,9 +1,11 @@
+import bisect
 import dataclasses
 import itertools
 import json
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,16 +20,20 @@ from chutelat.pipedream import (
     ELBOW,
     PipeDream,
     Routing,
+    _cross_mask,
+    _crossing_vector,
+    _lehmer_slots,
     is_reduced,
     phi,
     phi_vector,
+    route_crosses,
     theta,
     trace,
     transpose,
     transpose_rows,
     triforce_embed,
 )
-from chutelat.tableaux import lehmer_vector, restrict
+from chutelat.tableaux import _support, lehmer_vector, restrict
 from test_lattice_oracle import sampled_n7
 
 
@@ -44,7 +50,7 @@ def crosses(dream):
 def crossing_of(routing, i, j):
     """The highest box where pipes i and j cross, None if they never
     cross."""
-    for box, pipes in sorted(routing.cross_pipes.items()):
+    for box, pipes in sorted(boxes_of(routing.wiring.n, routing.pipes).items()):
         if sorted(pipes) == sorted((i, j)):
             return box
     return None
@@ -121,7 +127,7 @@ def test_crossing_records():
     d = PipeDream.from_crosses(2, {(1, 1)})
     routing = trace(d)
     assert crossing_of(routing, 1, 2) == (1, 1)
-    assert routing.cross_pipes[(1, 1)] == (1, 2) or routing.cross_pipes[(1, 1)] == (2, 1)
+    assert boxes_of(2, routing.pipes)[(1, 1)] in ((1, 2), (2, 1))
 
 
 def test_theta_entries_are_crossing_rows():
@@ -181,6 +187,43 @@ def test_transpose_and_crosses_match_tile_oracles_s1_to_s6():
                 assert crosses(d) == tile_crosses(d), d.rows
 
 
+@dataclasses.dataclass
+class BoxRouting:
+    """A routing as the reference tracers give it: the pipe pairs keyed by
+    cross box, where ``Routing`` keeps them by mask bit."""
+
+    wiring: Permutation
+    cross_pipes: dict
+
+    @property
+    def reduced(self):
+        pairs = {(h, v) if h < v else (v, h) for h, v in self.cross_pipes.values()}
+        return len(pairs) == len(self.cross_pipes)
+
+
+def boxes_of(n, pipes):
+    """The pipe pairs by mask bit of ``route_crosses`` keyed by cross box,
+    the bits taken rows bottom to top, each left to right."""
+    boxes = [(r, c) for r in range(n - 1, 0, -1) for c in range(1, n + 1 - r)]
+    return {box: pair for box, pair in zip(boxes, pipes) if pair is not None}
+
+
+def box_trace(dream):
+    """``trace(dream)`` with its pipe pairs keyed by cross box."""
+    routing = trace(dream)
+    return BoxRouting(routing.wiring, boxes_of(dream.n, routing.pipes))
+
+
+def pipes_by_bit(n, cross_pipes):
+    """The pairs of a box-keyed routing laid out by mask bit, as
+    ``route_crosses`` gives them."""
+    offsets = pipedream_module._layout(n)[0]
+    pipes = [None] * offsets[0]
+    for (r, c), pair in cross_pipes.items():
+        pipes[offsets[r] + c - 1] = pair
+    return pipes
+
+
 def oracle_trace(dream):
     """Follow each pipe box by box from the west edge to the north edge: the
     reference for the row sweep in ``trace``.  Returns the routing and, per
@@ -225,11 +268,11 @@ def oracle_trace(dream):
         paths.append(tuple(path))
     wiring = Permutation(tuple(exit_pipe[1:]))
     cross_pipes = {box: (h, vert[box]) for box, h in horiz.items()}
-    return Routing(wiring, cross_pipes), tuple(paths)
+    return BoxRouting(wiring, cross_pipes), tuple(paths)
 
 
 def assert_trace_matches_oracle(d):
-    got = trace(d)
+    got = box_trace(d)
     want, _paths = oracle_trace(d)
     assert got.wiring == want.wiring, d.rows
     assert got.cross_pipes == want.cross_pipes, d.rows
@@ -279,7 +322,7 @@ def row_sweep_trace(dream):
                 )
             else:
                 north[c] = west
-    return Routing(Permutation(tuple(north[1:])), cross_pipes)
+    return BoxRouting(Permutation(tuple(north[1:])), cross_pipes)
 
 
 def _routed_or_raised(route, dream):
@@ -292,28 +335,30 @@ def _routed_or_raised(route, dream):
     return routing.wiring, routing.cross_pipes
 
 
+def cb_fillings(rng):
+    """Every cross/bump filling for n <= 6, then 2,000 seeded ones for
+    n = 7..9, reduced or not."""
+    for n in range(1, 7):
+        interior = [(r, c) for r in range(1, n) for c in range(1, n + 1 - r)]
+        for bits in range(1 << len(interior)):
+            yield PipeDream.from_crosses(
+                n, {interior[k] for k in range(len(interior)) if (bits >> k) & 1}
+            )
+    for _ in range(2000):
+        n = rng.randint(7, 9)
+        yield PipeDream(tuple(
+            "".join(rng.choice(CROSS + BUMP) for _ in range(n - r)) + ELBOW
+            for r in range(1, n + 1)
+        ))
+
+
 def test_trace_matches_row_sweep_on_fillings_and_interior_elbows():
     # every cross/bump filling for n <= 6, 2,000 seeded ones for n = 7..9,
     # and seeded unvalidated rows with interior elbows, where the first
     # elbow in sweep order must raise with the same message and witness
     rng = random.Random(20261019)
-
-    def fillings():
-        for n in range(1, 7):
-            interior = [(r, c) for r in range(1, n) for c in range(1, n + 1 - r)]
-            for bits in range(1 << len(interior)):
-                yield PipeDream.from_crosses(
-                    n, {interior[k] for k in range(len(interior)) if (bits >> k) & 1}
-                )
-        for _ in range(2000):
-            n = rng.randint(7, 9)
-            yield PipeDream(tuple(
-                "".join(rng.choice(CROSS + BUMP) for _ in range(n - r)) + ELBOW
-                for r in range(1, n + 1)
-            ))
-
-    for d in fillings():
-        assert _routed_or_raised(trace, d) == _routed_or_raised(row_sweep_trace, d), d.rows
+    for d in cb_fillings(rng):
+        assert _routed_or_raised(box_trace, d) == _routed_or_raised(row_sweep_trace, d), d.rows
     # one interior tile in five an elbow, and one more placed at random
     tiles = (CROSS, CROSS, BUMP, BUMP, ELBOW)
     for _ in range(500):
@@ -325,7 +370,7 @@ def test_trace_matches_row_sweep_on_fillings_and_interior_elbows():
         c = rng.randint(1, n - r)
         rows[r - 1] = rows[r - 1][: c - 1] + ELBOW + rows[r - 1][c:]
         d = _unvalidated(rows)
-        got = _routed_or_raised(trace, d)
+        got = _routed_or_raised(box_trace, d)
         assert isinstance(got[0], str), rows
         assert got == _routed_or_raised(row_sweep_trace, d), rows
 
@@ -390,12 +435,114 @@ def test_phi_vector_fails_like_the_tableau_route(monkeypatch):
     # a routing whose crossings are the inversions of 321 but put pipes 1
     # and 3 and pipes 2 and 3 in the same row, 1, of column 3
     w = Permutation.parse("321")
-    fake = Routing(w, {(2, 1): (1, 2), (1, 1): (1, 3), (1, 2): (2, 3)})
+    fake = Routing(w, pipes_by_bit(3, {(2, 1): (1, 2), (1, 1): (1, 3), (1, 2): (2, 3)}))
     monkeypatch.setattr(pipedream_module, "trace", lambda d: fake)
     d = PipeDream.all_bump(3)
     got = _raised(lambda: phi_vector(d, w))
     assert got == _raised(lambda: lehmer_vector(theta(d), w))
     assert got == (ValueError, "not column-injective for 321: entry 1 repeats in column 3 (rows 1 and 2)")
+
+
+def bisect_relabel(pairs):
+    """The column relabel that ``tableaux._relabel`` replaced, on
+    (column, entry) pairs in (column, row) order: each column's entries
+    so far kept sorted, and the count of smaller ones below an entry read
+    off by bisection.  None when an entry repeats in its column."""
+    out = []
+    column, below = None, []
+    for j, v in pairs:
+        if j != column:
+            column, below = j, []
+        at = bisect.bisect_left(below, v)
+        if at < len(below) and below[at] == v:
+            return None
+        out.append(v - 1 - at)
+        below.insert(at, v)
+    return tuple(out)
+
+
+def dict_crossing_vector(cross_pipes, w):
+    """The box-keyed reader that ``_crossing_vector`` replaced: the
+    crossing rows keyed by pipe pair, checked against the inversions of w
+    as a set, and each column relabeled by ``bisect_relabel``."""
+    inv = w.inversions()
+    if len(cross_pipes) != len(inv):
+        return None
+    entries = {((h, v) if h < v else (v, h)): r for (r, _c), (h, v) in cross_pipes.items()}
+    if entries.keys() != inv:
+        return None
+    return bisect_relabel((j, entries[i, j]) for i, j in _support(w))
+
+
+def test_crossing_vector_matches_the_dict_reader():
+    # the per-bit pairs of route_crosses are the box dict of the row sweep,
+    # and the per-bit read gives the dict reader's vector, or None exactly
+    # when it does, on every filling of cb_fillings, reduced or not, read
+    # against its own wiring, that wiring with one more or one fewer
+    # inversion, and a seeded random permutation
+    rng = random.Random(20261020)
+    outcomes = Counter()
+    for d in cb_fillings(rng):
+        n = d.n
+        labels, pipes = route_crosses(n, _cross_mask(d.rows)[0])
+        boxed = boxes_of(n, pipes)
+        sweep = row_sweep_trace(d)
+        assert boxed == sweep.cross_pipes, d.rows
+        assert Permutation(tuple(labels[1:])) == sweep.wiring, d.rows
+        ws = [sweep.wiring, Permutation(tuple(rng.sample(range(1, n + 1), n)))]
+        if n > 1:
+            k = rng.randrange(n - 1)
+            word = list(sweep.wiring.word)
+            word[k], word[k + 1] = word[k + 1], word[k]
+            ws.append(Permutation(tuple(word)))
+        for w in ws:
+            got = _crossing_vector(pipes, _lehmer_slots(w))
+            assert got == dict_crossing_vector(boxed, w), (d.rows, w)
+            outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_crossing_vector_matches_the_dict_reader_on_inversion_pairs():
+    # pairs drawn from the inversions of w, in either orientation, on
+    # random bits: the fillings reach column repeats only through routings
+    # no dream has, so these hand-made ones cover every check of the read
+    rng = random.Random(20261021)
+    outcomes = Counter()
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        inv = sorted(w.inversions())
+        bits = n * (n - 1) // 2
+        count = min(bits, max(0, len(inv) + rng.choice((-1, 0, 0, 0, 1))))
+        pipes = [None] * bits
+        for b in rng.sample(range(bits), count):
+            i, j = rng.choice(inv) if inv else (1, 2)
+            pipes[b] = (i, j) if rng.random() < 0.5 else (j, i)
+        got = _crossing_vector(pipes, _lehmer_slots(w))
+        assert got == dict_crossing_vector(boxes_of(n, pipes), w), (pipes, w)
+        outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_dreams_from_masks_are_valid():
+    # every mask for n <= 6 and seeded ones for n = 7..10: the rows made
+    # without validation pass it, and read back to the mask
+    rng = random.Random(20261019)
+    cases = [(n, mask) for n in range(1, 7) for mask in range(1 << (n * (n - 1) // 2))]
+    cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in range(7, 11) for _ in range(500)]
+    for n, mask in cases:
+        d = PipeDream._from_mask(n, mask)
+        assert type(d.rows) is tuple
+        assert PipeDream(d.rows) == d
+        assert _cross_mask(d.rows) == (mask, None), (n, mask)
+
+
+def test_built_elements_equal_their_validated_copies():
+    ws = [Permutation(p) for n in range(4, 7) for p in itertools.permutations(range(1, n + 1))]
+    for w in ws + [Permutation.parse("12438765")]:
+        for d in cached_poset(w).elements:
+            copy = PipeDream(d.rows)
+            assert copy == d and hash(copy) == hash(d), (w, d.rows)
 
 
 # Row deletion, a lemma no check runs: deleting the last pipe of a dream in

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from chutelat import chute as chute_module
 from chutelat import pipedream as pipedream_module
 from chutelat import poset as poset_module
 from chutelat import schubert as schubert_module
@@ -279,7 +280,7 @@ def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         ChutePoset(w, real.elements[:2], (real.vectors[0],) * 2, ((), ()))
     assert exc.value.witness == {"w": "1432"}
-    monkeypatch.setattr(poset_module, "_crossing_vector", lambda cross_pipes, v: real.vectors[0])
+    monkeypatch.setattr(poset_module, "_crossing_vector", lambda pipes, slots: real.vectors[0])
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         enumerate_poset(w)
     assert exc.value.witness == {"w": "1432"}
@@ -294,17 +295,29 @@ def test_poset_needs_one_vector_per_element():
 def test_build_traces_each_element_once(monkeypatch):
     # the downward search sends each element through the slot-swap router
     # once: the seed inside trace, whose routing its wiring check, its
-    # up-move test and its inverse-move scan share, every other element
-    # straight from its cross mask; the poset itself routes nothing
+    # up-move test, its vector read and its inverse-move scan share, every
+    # other element straight from its cross mask, the one pass giving both
+    # its vector read and its scan; the poset itself routes nothing
     w = Permutation.parse("12438765")
-    routed = []
+    routed, routed_pipes, read, scanned = [], [], [], []
+    read_vector, scan = poset_module._crossing_vector, chute_module.inverse_move_scan
 
     def counting(n, mask):
         routed.append(mask)
-        return route_crosses(n, mask)
+        labels, pipes = route_crosses(n, mask)
+        routed_pipes.append(pipes)
+        return labels, pipes
 
     monkeypatch.setattr(pipedream_module, "route_crosses", counting)
     monkeypatch.setattr(poset_module, "route_crosses", counting)
+    monkeypatch.setattr(
+        poset_module, "_crossing_vector",
+        lambda pipes, slots: read.append(pipes) or read_vector(pipes, slots),
+    )
+    monkeypatch.setattr(
+        chute_module, "inverse_move_scan",
+        lambda n, mask, pipes: scanned.append(pipes) or scan(n, mask, pipes),
+    )
     trace.cache_clear()
     built = enumerate_poset(w)
     info = trace.cache_info()
@@ -312,6 +325,11 @@ def test_build_traces_each_element_once(monkeypatch):
     assert info.maxsize == 1 and info.currsize <= 1
     assert len(routed) == built.size == 3003
     assert set(routed) == {_cross_mask(d.rows)[0] for d in built.elements}
+    # each element's vector read and scan get the very pairs of its one
+    # routing (the lists are held here, so identity is meaningful)
+    assert len(read) == len(scanned) == 3003
+    assert all(a is b for a, b in zip(read, scanned))
+    assert all(a is b for a, b in zip(read, routed_pipes))
     routed.clear()
     trace.cache_clear()
     ChutePoset(w, built.elements, built.vectors, built._moves_up)

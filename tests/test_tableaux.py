@@ -174,7 +174,7 @@ def test_validate_reports_row_bound_before_higher_duplicate():
 def oracle_lehmer_form(t, w):
     """The relabeling as a loop over every box, counting the smaller
     entries below by a scan: the reference for ``lehmer_vector``, which
-    keeps the entries below sorted and reads the count off by bisection."""
+    counts them on a bitmask of the ranks of the entries below."""
     inv = w.inversions()
     entries = t.rows
     rows = [[None] * (t.n - i) for i in range(1, t.n)]
@@ -201,6 +201,18 @@ def test_lehmer_vector_is_the_vector_of_lehmer_form():
             want = oracle_lehmer_form(t, w)
             assert lehmer_form(t, w) == want, (w, t.rows)
             assert lehmer_vector(t, w) == vector == want.as_vector(), (w, t.rows)
+
+
+def test_lehmer_vector_on_large_entries():
+    # a column-injective entry may be any positive int; the relabel reads
+    # ranks, so a huge entry costs no huge bitmask and keeps its value
+    w = T361542.w
+    for big in (7, 10**6, 10**40):
+        for box in ((4, 6), (5, 6), (1, 3)):
+            t = T361542.with_entries({box: big + T361542.get(*box)})
+            want = oracle_lehmer_form(t, w)
+            assert lehmer_form(t, w) == want, (big, box)
+            assert lehmer_vector(t, w) == want.as_vector(), (big, box)
 
 
 def test_support_is_cached_and_bounded():
