@@ -380,6 +380,37 @@ def transpose_rows(rows: tuple[str, ...]) -> tuple[str, ...]:
     return tuple("".join(col[: n + 1 - r]) for r, col in enumerate(columns, start=1))
 
 
+@lru_cache(maxsize=64)
+def _transpose_tables(n: int) -> tuple:
+    """Per chunk of up to 8 interior bits of each row r of a cross mask:
+    the chunk's shift in the mask, its width mask, and the table whose
+    entry v is the mask of the boxes (c, r) reflecting the crosses (r, c)
+    on v's set bits.  Chunks keep every table at 256 entries or fewer."""
+    offsets = _layout(n)[0]
+    out = []
+    for r in range(1, n):
+        for start in range(0, n - r, 8):
+            width = min(8, n - r - start)
+            table = [0] * (1 << width)
+            for v in range(1, 1 << width):
+                low = v & -v
+                # the low bit of v stands for column start + low.bit_length()
+                table[v] = table[v ^ low] | 1 << (offsets[start + low.bit_length()] + r - 1)
+            out.append((offsets[r] + start, (1 << width) - 1, tuple(table)))
+    return tuple(out)
+
+
+def _transpose_mask(n: int, mask: int) -> int:
+    """The cross mask of the reflection across the main diagonal of the
+    dream of size n with cross mask ``mask``, a table lookup per chunk of
+    ``_transpose_tables(n)``; ``_cross_mask(transpose_rows(rows))`` on
+    masks."""
+    out = 0
+    for shift, bits, table in _transpose_tables(n):
+        out |= table[(mask >> shift) & bits]
+    return out
+
+
 def transpose(dream: PipeDream) -> "PipeDream":
     """Reflect across the main diagonal; wiring becomes its inverse and the
     chute-move order reverses."""

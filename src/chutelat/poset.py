@@ -103,16 +103,26 @@ class ChutePoset:
     between.
 
     ``vectors[k]`` is the Lehmer vector of element k,
-    ``lehmer_vector(theta(elements[k]), w)``, and ``moves_up[k]`` holds the
+    ``lehmer_vector(theta(elements[k]), w)``, ``moves_up[k]`` holds the
     moves out of element k, in the order ``chute.find_moves`` returns them,
-    each paired with its target's index.
+    each paired with its target's index, and ``cross_masks[k]`` is element
+    k's cross mask (see ``pipedream.route_crosses``), read off its rows when
+    not given.
     """
 
     def __init__(
-        self, w: Permutation, elements: tuple[PipeDream, ...], vectors: tuple, moves_up: tuple
+        self,
+        w: Permutation,
+        elements: tuple[PipeDream, ...],
+        vectors: tuple,
+        moves_up: tuple,
+        cross_masks: tuple | None = None,
     ):
         self.w = w
         self.elements = elements
+        if cross_masks is None:
+            cross_masks = tuple(_cross_mask(d.rows)[0] for d in elements)
+        self.cross_masks = cross_masks
         self.index = {d: k for k, d in enumerate(elements)}
         if len(self.index) != len(elements):
             raise ValueError("duplicate elements")
@@ -544,14 +554,20 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
                 row.sort(key=lambda e: chute.move_order(e[0]))
         moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
         return ChutePoset(
-            w, tuple(dreams[k] for k in order), tuple(vectors[k] for k in order), moves_up
+            w,
+            tuple(dreams[k] for k in order),
+            tuple(vectors[k] for k in order),
+            moves_up,
+            tuple(masks[k] for k in order),
         )
     finally:
         if enabled:
             gc.enable()
 
 
-@lru_cache(maxsize=None)
+# a verify run reads one fiber, and triforce (n <= 4) one more; the bound
+# keeps a sweep from holding every fiber it visits
+@lru_cache(maxsize=8)
 def cached_poset(w: Permutation) -> ChutePoset:
     return enumerate_poset(w)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import TheoremViolation
 from .perm import Permutation
@@ -27,7 +28,9 @@ def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
     return exps[:k]
 
 
-def _term_key(exps: tuple[int, ...]) -> tuple:
+def _term_key(term: tuple[tuple[int, ...], int]) -> tuple:
+    """Graded-lex key of a term (exps, coeff): total degree, then exps."""
+    exps = term[0]
     return (sum(exps), exps)
 
 
@@ -46,17 +49,12 @@ class IntPolynomial:
             if coeff == 0:
                 continue
             key = _trim(tuple(exps))
-            if any(e < 0 for e in key):
+            if key and min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
             clean[key] = clean.get(key, 0) + coeff
-        items = tuple(
-            (exps, coeff)
-            for exps, coeff in sorted(
-                clean.items(), key=lambda kv: _term_key(kv[0]), reverse=True
-            )
-            if coeff != 0
-        )
-        return IntPolynomial(items)
+        items = [term for term in clean.items() if term[1]]
+        items.sort(key=_term_key, reverse=True)
+        return IntPolynomial(tuple(items))
 
     @staticmethod
     def zero() -> "IntPolynomial":
@@ -125,7 +123,9 @@ def _swap_vars(poly: IntPolynomial, r: int) -> IntPolynomial:
 
 def divided_difference(poly: IntPolynomial, r: int) -> IntPolynomial:
     """(f - s_r f) / (x_r - x_{r+1}), computed termwise by the telescoping
-    identity, then re-multiplied to confirm exact division."""
+    identity, then re-multiplied to confirm exact division: the sum of
+    q * (x_r - x_{r+1}) - f + s_r f is taken on exponent dicts, with no
+    polynomial built for it, and must vanish."""
     if r < 1:
         raise ValueError("variable index must be positive")
     d: dict = {}
@@ -142,9 +142,23 @@ def divided_difference(poly: IntPolynomial, r: int) -> IntPolynomial:
             key = tuple(lst)
             d[key] = d.get(key, 0) + sign * coeff
     out = IntPolynomial.from_dict(d)
-    xr = IntPolynomial.monomial((0,) * (r - 1) + (1,))
-    xr1 = IntPolynomial.monomial((0,) * r + (1,))
-    if out * (xr - xr1) != poly - _swap_vars(poly, r):
+    rest: dict = {}
+    for exps, coeff in d.items():
+        # exps is padded to hold x_r and x_{r+1}; the products are trimmed
+        # to match the canonical terms of f and s_r f
+        lst = list(exps)
+        lst[r - 1] += 1
+        key = _trim(tuple(lst))
+        rest[key] = rest.get(key, 0) + coeff
+        lst[r - 1] -= 1
+        lst[r] += 1
+        key = _trim(tuple(lst))
+        rest[key] = rest.get(key, 0) - coeff
+    for exps, coeff in poly.terms:
+        rest[exps] = rest.get(exps, 0) - coeff
+    for exps, coeff in _swap_vars(poly, r).terms:
+        rest[exps] = rest.get(exps, 0) + coeff
+    if any(rest.values()):
         raise TheoremViolation(
             "division was not exact",
             witness={"poly": str(poly), "r": r, "quotient": str(out)},
@@ -177,6 +191,7 @@ def schubert_from_pipedreams(w: Permutation) -> IntPolynomial:
     poset = cached_poset(w)
     d: dict = {}
     for dream in poset.elements:
-        key = _trim(tuple(row.count(CROSS) for row in dream.rows))
+        # from_dict trims the zero count of row n
+        key = tuple(map(str.count, dream.rows, repeat(CROSS)))
         d[key] = d.get(key, 0) + 1
     return IntPolynomial.from_dict(d)

@@ -18,6 +18,7 @@ Three nested families appear here:
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -376,23 +377,25 @@ def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
 def lehmer_form_inverse(lt: LehmerTableau) -> InversionsTableau:
     """Rebuild the column-injective tableau column by column, bottom to top:
     the entry over Lehmer value m is the (m+1)-th positive integer not yet
-    used below in its column."""
+    used below in its column.  Starting from m + 1, each used entry, in
+    ascending order, that is at most the candidate pushes it up by one; so,
+    as in ``lehmer_vector``, used entries are counted rather than stepped
+    through, and the cost grows with the column height, not the entries."""
     n = lt.n
     rows = [[0] * (n - i) for i in range(1, n)]
     for j in range(2, n + 1):
-        used: set[int] = set()
+        used: list[int] = []
         for i in range(1, j):
             m = lt.get(i, j)
             if m is None:
                 continue
-            candidate = 0
-            remaining = m + 1
-            while remaining:
+            candidate = m + 1
+            for u in used:
+                if u > candidate:
+                    break
                 candidate += 1
-                if candidate not in used:
-                    remaining -= 1
             rows[i - 1][j - i - 1] = candidate
-            used.add(candidate)
+            insort(used, candidate)
     return InversionsTableau(tuple(tuple(r) for r in rows), lt.w)
 
 

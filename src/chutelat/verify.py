@@ -14,11 +14,21 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
+from .chute import inverse_move_scan
 from .errors import TheoremViolation
 from .perm import Permutation
 # ``transpose`` is no longer called here; perfbench/child.py wraps
 # ``verify.transpose`` by name, so the name stays
-from .pipedream import transpose, transpose_rows, triforce_embed
+from .pipedream import (
+    _crossing_vector,
+    _layout,
+    _lehmer_slots,
+    _transpose_mask,
+    route_crosses,
+    transpose,
+    transpose_rows,
+    triforce_embed,
+)
 from .poset import (
     ChutePoset,
     Interval,
@@ -441,26 +451,89 @@ def _transpose_image(poset: ChutePoset, other: ChutePoset) -> list[int]:
     return [position.get(transpose_rows(d.rows), -1) for d in poset.elements]
 
 
-def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
-    """Transposition is an order anti-isomorphism onto the fiber of the
-    inverse permutation, and a pair whose Lehmer forms differ only in the
-    last column transposes to a reversed pair differing only in one row.
+def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
+    """The Lehmer vectors of the transposes, read with no fiber of w^-1
+    built, and None; or None and the refutation to report should the
+    order pass agree with the inverse fiber after all.
 
-    The anti-isomorphism is certified on cover edges (``_cover_certificate``)
-    and, if that fails, decided by the definitional order pass.  It maps
-    the common lower bounds of a and b onto the common upper bounds of their
-    images, the greatest onto the least; so meets go to joins, and only
-    their existence is tested.  That is the dual of the bounded-fork
-    certificate: a bounded poset whose down-forks all have meets is a
-    lattice.  When the certificate fails, or cannot apply because the
-    poset is unbounded, the all-pairs meet sweep decides and gives the
-    witness.  A pair differing only in the last column has equal Lehmer
-    vectors off it, so only such groups are searched, in the pairwise
-    order; a b above a already has image[b] <= image[a].  The support is
-    in (column, row) order, so the key is the prefix before the last column.
-    """
-    w = poset.w
-    other = cached_poset(w.inverse())
+    Write T for transposition of cross masks, Q for the fiber of w^-1
+    with its move edges, and q0 for the top of Q, the seed dream of w^-1,
+    whose cross mask is read off the Lehmer code of w.  The certificate
+    asks, polling once per image:
+
+    - the poset has one source b, and T(b) = q0;
+    - each image T(a), routed once by ``route_crosses``, has a Lehmer
+      vector by ``_crossing_vector`` with ``_lehmer_slots(w^-1)``: its
+      crossing pairs are the inversions of w^-1, each crossing once, so
+      T(a) is reduced and wired to w^-1, and lies in Q;
+    - ``inverse_move_scan`` on T(a) finds exactly the dreams T(j), j a
+      move target of a: the moves into T(a) in Q are the transposes of
+      the moves out of a;
+    - and what the build of Q would check: the vectors are distinct, and
+      each move T(j) -> T(a) raises their Lehmer total.
+
+    Then T is an order anti-isomorphism onto Q.  Every a lies above b,
+    the one source of an acyclic move graph, along moves a' -> j whose
+    transposes T(j) -> T(a') are inverse moves, so inverse moves reach
+    every image from q0; and the images hold every inverse move of each
+    image.  So they are exactly what inverse moves reach from q0, which
+    is all of Q (Bergeron and Billey, "RC-graphs and Schubert
+    polynomials", *Exp. Math.* 2 (1993)) and is what ``enumerate_poset``
+    builds for w^-1.  T is injective, so it is a bijection onto Q.  Every
+    move edge of Q ends at some T(a), and those into T(a) are the
+    T(j) -> T(a) for the moves a -> j, so T carries the move edges onto
+    those of Q, reversed.  Each order is the closure of its move edges,
+    so T reverses order.  The build of Q would read the same vectors and
+    pass its own checks, the two above and a seed with no move out of it,
+    since no move leads into b; so ``_inverse_fiber_check`` would pass
+    its size, image and cover tests and go on to the same meet and
+    last-column tests with the same vectors."""
+    w, n = poset.w, poset.w.n
+    offsets = _layout(n)[0]
+    top = 0
+    for i, c in enumerate(w.lehmer_code(), start=1):
+        top |= ((1 << c) - 1) << offsets[i]
+    images = [_transpose_mask(n, mask) for mask in poset.cross_masks]
+
+    def stop(a):
+        return None, {"note": "inverse-move criterion disagrees with the inverse fiber",
+                      "dream": poset.elements[a].to_json()}
+
+    bottom = poset._down.index(0)
+    if poset._down.count(0) != 1 or images[bottom] != top:
+        return stop(bottom)
+    slots = _lehmer_slots(w.inverse())
+    route, read, scan, poll = route_crosses, _crossing_vector, inverse_move_scan, deadline.poll
+    vectors = []
+    for a, (image, row) in enumerate(zip(images, poset._moves_up)):
+        poll()
+        pipes = route(n, image)[1]
+        vector = read(pipes, slots)
+        if vector is None or (
+            {image ^ flip for _mv, flip in scan(n, image, pipes)} != {images[j] for _mv, j in row}
+        ):
+            return stop(a)
+        vectors.append(vector)
+    seen = set()
+    for a, vector in enumerate(vectors):
+        if vector in seen:
+            return stop(a)
+        seen.add(vector)
+    totals = [sum(v) for v in vectors]
+    for a, row in enumerate(poset._moves_up):
+        total = totals[a]
+        for _mv, j in row:
+            if totals[j] >= total:
+                return stop(a)
+    return vectors, None
+
+
+def _inverse_fiber_check(poset: ChutePoset, deadline: Deadline):
+    """The transpose check on the built fiber of w^-1: the images are
+    looked up in it by rows, the anti-isomorphism is certified on cover
+    edges (``_cover_certificate``) and, if that fails, decided by the
+    definitional order pass."""
+    other = cached_poset(poset.w.inverse())
     if other.size != poset.size:
         return {"note": "fibers of w and its inverse differ in size",
                 "sizes": [poset.size, other.size]}
@@ -471,6 +544,14 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     refuted = _cover_certificate(poset, other, image, deadline)
     if refuted is not None:
         return _reversal_sweep(poset, other, image, deadline) or refuted
+    return _meets_and_last_column(poset, deadline, [other.vectors[t] for t in image])
+
+
+def _meets_and_last_column(poset: ChutePoset, deadline: Deadline, image_vectors: list):
+    """The rest of the transpose check, once the anti-isomorphism holds:
+    every meet exists, and each last-column pair transposes to a pair
+    differing only in the forced row.  ``image_vectors[a]`` is the Lehmer
+    vector of a's transpose for w^-1."""
     if _unbounded_pair(poset) is not None:
         _all_pairs_bound(poset, deadline, joins=False)
     else:
@@ -479,28 +560,63 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
             _all_pairs_bound(poset, deadline, joins=False)
             return _pair_witness(
                 poset, *fork, "bounded down-fork criterion disagrees with the meet sweep")
+    w = poset.w
     n = w.n
-    row0 = w.inverse()(n)
-    cut = sum(j < n for _i, j in _support(w))
-    bad_row = {k for k, (i, _j) in enumerate(_support(other.w)) if i == row0}
-    keys = [v[:cut] for v in poset.vectors]
-    groups: dict[tuple, list[int]] = {}
-    for a, key in enumerate(keys):
-        groups.setdefault(key, []).append(a)
-    for a in range(poset.size):
+    inverse = w.inverse()
+    row0 = inverse(n)
+    # the last column holds one inversion (i, n) per value i right of n
+    cut = len(_support(w)) - (n - row0)
+    kept = [k for k, (i, _j) in enumerate(_support(inverse)) if i != row0]
+    # a pair fails when its images differ off the forced row, so each group
+    # of one prefix before the last column is split by its images' vectors
+    # off that row, and only a group split in two or more can fail
+    keys = [
+        (v[:cut], tuple(map(image.__getitem__, kept)))
+        for v, image in zip(poset.vectors, image_vectors)
+    ]
+    split: dict = {}
+    for a, (prefix, off) in enumerate(keys):
+        split.setdefault(prefix, {}).setdefault(off, []).append(a)
+    for a, (prefix, off) in enumerate(keys):
         deadline.poll()
-        wa = other.vectors[image[a]]
-        for b in groups[keys[a]]:
-            if not poset.leq_idx(a, b):
-                continue
-            wb = other.vectors[image[b]]
-            tdiff = {k for k in range(len(wa)) if wa[k] != wb[k]}
-            if not tdiff <= bad_row:
+        parts = split[prefix]
+        if len(parts) > 1:
+            above = [b for key, part in parts.items() if key != off
+                     for b in part if poset.leq_idx(a, b)]
+            if above:
                 return _pair_witness(
-                    poset, a, b,
+                    poset, a, min(above),
                     "transposed pair differs outside the forced row",
                 )
     return None
+
+
+def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
+    """Transposition is an order anti-isomorphism onto the fiber of the
+    inverse permutation, and a pair whose Lehmer forms differ only in the
+    last column transposes to a reversed pair differing only in one row.
+
+    The anti-isomorphism is certified on the transposes' inverse moves
+    (``_inverse_move_certificate``), with no fiber of w^-1 built.  If that
+    fails, ``_inverse_fiber_check`` builds the fiber and decides, giving
+    the witness.  The anti-isomorphism maps the common lower bounds of a
+    and b onto the common upper bounds of their images, the greatest onto
+    the least; so meets go to joins, and only their existence is tested.
+    That is the dual of the bounded-fork certificate: a bounded poset
+    whose down-forks all have meets is a lattice.  When the certificate
+    fails, or cannot apply because the poset is unbounded, the all-pairs
+    meet sweep decides and gives the witness.  A pair differing only in
+    the last column has equal Lehmer vectors off it, so only such groups
+    are searched, and only those whose images do not all agree off the
+    forced row; the first pair a <= b of one in the pairwise order whose
+    images differ there is the witness, and a b above a already has its
+    image below a's.  The support is in (column, row) order, so the group
+    is the prefix before the last column.
+    """
+    vectors, refuted = _inverse_move_certificate(poset, deadline)
+    if refuted is not None:
+        return _inverse_fiber_check(poset, deadline) or refuted
+    return _meets_and_last_column(poset, deadline, vectors)
 
 
 def check_triforce_interval(poset: ChutePoset, deadline: Deadline):
@@ -543,6 +659,10 @@ _CHECKERS = {
 CHECK_NAMES = tuple(_CHECKERS)
 
 
+def _violation(exc: TheoremViolation) -> dict:
+    return {"message": str(exc), "witness": exc.witness}
+
+
 def run_checks(
     w: Permutation,
     names: tuple[str, ...] | None = None,
@@ -560,20 +680,30 @@ def run_checks(
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     deadline = Deadline(budget_ms)
     results = []
+    # the fiber is built by the first check that gets past the budget; a
+    # build that raises is not cached, so its violation is kept here and
+    # reported by every check, with no second build
+    poset = broken = None
     for nm in names:
         t0 = time.perf_counter()
         try:
             deadline.poll()
-            poset = cached_poset(w)
-            witness = _CHECKERS[nm](poset, deadline)
-            status = "pass" if witness is None else "fail"
+            if poset is None and broken is None:
+                try:
+                    poset = cached_poset(w)
+                except TheoremViolation as exc:
+                    broken = _violation(exc)
+            if broken is not None:
+                status, witness = "fail", broken
+            else:
+                witness = _CHECKERS[nm](poset, deadline)
+                status = "pass" if witness is None else "fail"
         except _BudgetExceeded:
             status, witness = "skipped", {"reason": "budget exhausted"}
         except _SkipCheck as exc:
             status, witness = "skipped", {"reason": exc.reason}
         except TheoremViolation as exc:
-            status = "fail"
-            witness = {"message": str(exc), "witness": exc.witness}
+            status, witness = "fail", _violation(exc)
         ms = int((time.perf_counter() - t0) * 1000)
         results.append(CheckResult(nm, status, witness, ms))
     return VerificationReport(w, tuple(results))

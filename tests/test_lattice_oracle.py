@@ -29,6 +29,7 @@ witness; with the fallbacks made to raise, the certificates alone must
 pass every fiber of S_5.
 """
 
+import functools
 import itertools
 import random
 
@@ -428,13 +429,20 @@ def sampled_n7(count=4, seed=7, min_size=20):
     """Seeded random permutations of 7 whose fibers have at least
     ``min_size`` elements; most random words of S_7 have fibers of one to
     ten elements, which would test little."""
+    return list(_draw_n7(count, seed, min_size))
+
+
+# the draw builds the fiber of every word it tries, more than the poset
+# cache keeps, so each draw is made once per session
+@functools.lru_cache(maxsize=None)
+def _draw_n7(count, seed, min_size):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         w = Permutation(tuple(rng.sample(range(1, 8), 7)))
         if w not in out and cached_poset(w).size >= min_size:
             out.append(w)
-    return out
+    return tuple(out)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -828,6 +836,104 @@ def test_transpose_check_builds_no_dream(monkeypatch):
     assert got["checks"][0]["witness"]["note"] == "transpose left the fiber"
 
 
+def _transposes_of(poset):
+    """``_inverse_fiber_check``'s view of the transposes: their indices
+    in the built fiber of w^-1, and their Lehmer vectors there."""
+    other = cached_poset(poset.w.inverse())
+    image = verify._transpose_image(poset, other)
+    return image, [other.vectors[t] for t in image]
+
+
+def test_transpose_routes_agree_on_sn_and_samples():
+    # on every fiber the certificate passes with the inverse fiber's own
+    # vectors, and the whole check gives what the inverse-fiber route gives
+    ws = [Permutation(word) for n in (4, 5, 6) for word in itertools.permutations(range(1, n + 1))]
+    ws += sampled_n7() + [Permutation.parse("13287645"), Permutation.parse("14328756")]
+    for w in ws:
+        poset = cached_poset(w)
+        image, vectors = _transposes_of(poset)
+        assert sorted(image) == list(range(poset.size)), w
+        assert verify._inverse_move_certificate(poset, verify.Deadline(None)) == (vectors, None), w
+        assert verify.check_transpose_antiisomorphism(poset, verify.Deadline(None)) is None, w
+        assert verify._inverse_fiber_check(poset, verify.Deadline(None)) is None, w
+    s6 = ws[144:864]
+    assert sum(w != w.inverse() for w in s6) == 644 and len(s6) == 720
+    assert [cached_poset(w).size for w in ws[-2:]] == [3850, 1575]
+
+
+def test_transpose_mask_reflects_rows():
+    # on every dream of S_1..S_6, and on random masks of n up to 12, where
+    # the first rows span two table chunks
+    from chutelat.pipedream import _cross_mask, _mask_rows, _transpose_mask, transpose_rows
+
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            for d in cached_poset(Permutation(word)).elements:
+                want = _cross_mask(transpose_rows(d.rows))[0]
+                assert _transpose_mask(n, _cross_mask(d.rows)[0]) == want, d.rows
+    rng = random.Random(3)
+    for n in range(7, 13):
+        for _ in range(50):
+            mask = rng.getrandbits(n * (n - 1) // 2)
+            want = _cross_mask(transpose_rows(_mask_rows(n, mask)))[0]
+            assert _transpose_mask(n, mask) == want
+            assert _transpose_mask(n, want) == mask
+
+
+def test_transpose_certificate_polls_once_per_image():
+    poset = cached_poset(Permutation.parse("13524"))
+    with pytest.raises(verify._BudgetExceeded):
+        verify._inverse_move_certificate(poset, _Polls(poset.size - 1))
+    vectors, refuted = verify._inverse_move_certificate(poset, _Polls(poset.size))
+    assert refuted is None and len(vectors) == poset.size
+
+
+def test_transpose_certificate_stops_where_each_test_fails(monkeypatch):
+    # a failed vector read, a wrong top, vectors that repeat and vectors
+    # that fall along a move (the last two would make the build of the
+    # inverse fiber raise): the certificate stops at the element where
+    # each happens, and since the real inverse fiber passes, its
+    # refutation is the witness
+    w = Permutation.parse("13524")
+    poset = cached_poset(w)
+    cached_poset(w.inverse())
+    read = verify._crossing_vector
+    totals = [sum(v) for v in verify._inverse_move_certificate(poset, verify.Deadline(None))[0]]
+    repeat = next(a for a in range(poset.size) if totals[a] in totals[:a])
+    first_move = next(a for a in range(poset.size) if poset._moves_up[a])
+    bottom = poset.idx(poset.min_element())
+    assert len({0, bottom, repeat, first_move}) == 4
+
+    def refuted(a):
+        return [{"note": "inverse-move criterion disagrees with the inverse fiber",
+                 "dream": poset.elements[a].to_json()}]
+
+    for name, fake, stop in (
+        ("_crossing_vector", lambda pipes, slots: None, 0),
+        ("_layout", lambda n: ((0,) * (n + 1),), bottom),
+        ("_crossing_vector", lambda pipes, slots: (sum(read(pipes, slots)),), repeat),
+        ("_crossing_vector", lambda pipes, slots: tuple(-x for x in read(pipes, slots)), first_move),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(verify, name, fake)
+            got = [c.witness for c in verify.run_checks(w, ("transpose",)).checks]
+        assert got == refuted(stop), name
+
+
+def test_non_involution_verify_builds_one_fiber(monkeypatch):
+    # the transposes of 13524's dreams are wired to 14253, whose fiber a
+    # passing transpose check never builds
+    from chutelat import poset as poset_module
+
+    built = []
+    build = poset_module.enumerate_poset
+    cached_poset.cache_clear()
+    monkeypatch.setattr(poset_module, "enumerate_poset", lambda w: built.append(str(w)) or build(w))
+    report = verify.run_checks(Permutation.parse("13524"))
+    assert [c.status for c in report.checks] == ["pass"] * 5 + ["skipped"]
+    assert built == ["13524"]
+
+
 def _comparable_pairs(poset):
     return [(a, b) for a in range(poset.size) for b in range(poset.size) if poset.leq_idx(a, b)]
 
@@ -1004,8 +1110,9 @@ def test_certificates_decide_every_s5_fiber_alone(monkeypatch):
 
 
 def test_failed_certificate_with_passing_sweep_reports_refutation(monkeypatch):
-    # 13524 is healthy and not an involution, so its transpose check reads
-    # the separate fiber of 14253
+    # 13524 is healthy and not an involution, so the transposes of its
+    # dreams are wired to 14253, and the transpose check's failure path
+    # builds that separate fiber
     w = Permutation.parse("13524")
     poset = cached_poset(w)
 
@@ -1026,10 +1133,20 @@ def test_failed_certificate_with_passing_sweep_reports_refutation(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(verify, "_kappa_certificate", lambda p, d, meet_side: None if meet_side else stub)
         assert run("sd") == [stub]
-    # cover edges of the inverse fiber that contradict its order
+    # an inverse move hidden from the transpose certificate, which stops
+    # at the first element with a move; the inverse fiber's order pass
+    # then passes, so the certificate's refutation is the witness
     a = next(k for k in range(poset.size) if poset.covers_up_idx(k))
-    b = min(j for _mv, j in poset.covers_up_idx(a))
+    scan = verify.inverse_move_scan
     with monkeypatch.context() as m:
+        m.setattr(verify, "inverse_move_scan", lambda n, mask, pipes: scan(n, mask, pipes)[1:])
+        assert run("transpose") == [{
+            "note": "inverse-move criterion disagrees with the inverse fiber",
+            "dream": poset.elements[a].to_json(),
+        }]
+        # with cover edges of the inverse fiber that contradict its order
+        # as well, the failure path reports its own cover-edge refutation
+        b = min(j for _mv, j in poset.covers_up_idx(a))
         m.setattr(cached_poset(w.inverse()), "covers_down_idx", lambda k: ())
         assert run("transpose") == [
             pair(a, b, "cover-edge criterion disagrees with the order pass")]
@@ -1044,14 +1161,19 @@ def test_last_column_pairs_fail_alike_on_both_routes(monkeypatch):
     failures = 0
     for word in itertools.permutations(range(1, 7)):
         w = Permutation(word)
+        # both fibers are built before the support is patched, since a
+        # build reads it; the oracle reads them from the poset cache
+        cached_poset(w)
+        cached_poset(w.inverse())
 
         def no_forced_row(v, w=w):
             boxes = support(v)
             return boxes if v == w else ((0, 0),) * len(boxes)
 
-        monkeypatch.setattr(verify, "_support", no_forced_row)
-        monkeypatch.setattr(tableaux, "_support", no_forced_row)
-        got, want = reports(monkeypatch, w, names=("transpose",))
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_support", no_forced_row)
+            m.setattr(tableaux, "_support", no_forced_row)
+            got, want = reports(monkeypatch, w, names=("transpose",))
         assert got == want, w
         failures += got["checks"][0]["status"] == "fail"
     assert failures > 0

@@ -66,6 +66,74 @@ def test_inexact_division_is_a_violation(monkeypatch):
     assert exc.value.witness == {"poly": "x1^2", "r": 1, "quotient": "x1 + x2"}
 
 
+def product_divided_difference(poly: IntPolynomial, r: int) -> IntPolynomial:
+    """The earlier ``divided_difference``: the same termwise quotient, with
+    exact division confirmed by multiplying and subtracting whole
+    polynomials, each canonicalized by ``from_dict``."""
+    if r < 1:
+        raise ValueError("variable index must be positive")
+    d: dict = {}
+    for exps, coeff in poly.terms:
+        padded = exps + (0,) * (r + 1 - len(exps))
+        p, q = padded[r - 1], padded[r]
+        if p == q:
+            continue
+        sign = 1 if p > q else -1
+        lo, hi = min(p, q), max(p, q)
+        for k in range(lo, hi):
+            lst = list(padded)
+            lst[r - 1], lst[r] = k, p + q - 1 - k
+            key = tuple(lst)
+            d[key] = d.get(key, 0) + sign * coeff
+    out = IntPolynomial.from_dict(d)
+    xr = IntPolynomial.monomial((0,) * (r - 1) + (1,))
+    xr1 = IntPolynomial.monomial((0,) * r + (1,))
+    if out * (xr - xr1) != poly - schubert._swap_vars(poly, r):
+        raise TheoremViolation(
+            "division was not exact",
+            witness={"poly": str(poly), "r": r, "quotient": str(out)},
+        )
+    return out
+
+
+def _oracle_polynomials(max_n):
+    """Every polynomial the oracle recursion reaches on S_1..S_max_n, with
+    its number of variables n."""
+    for n in range(1, max_n + 1):
+        for word in itertools.permutations(range(1, n + 1)):
+            yield n, schubert._oracle_by_word(word)
+
+
+def test_divided_difference_matches_product_check_on_s1_to_s6():
+    # every oracle polynomial of S_1..S_6, at every variable index up to n,
+    # ascents and descents alike
+    calls = 0
+    for n, poly in _oracle_polynomials(6):
+        for r in range(1, n + 1):
+            assert divided_difference(poly, r) == product_divided_difference(poly, r), (poly, r)
+            calls += 1
+    assert calls == sum(n * len(list(itertools.permutations(range(n)))) for n in range(1, 7))
+
+
+def test_inexact_division_raises_alike_on_both_checks(monkeypatch):
+    # a wrong swap breaks the identity on every polynomial with a term
+    # that x_r and x_{r+1} do not enter alike; both checks raise the
+    # same violation with the same witness
+    monkeypatch.setattr(schubert, "_swap_vars", lambda poly, r: poly)
+    raised = 0
+    for n, poly in _oracle_polynomials(4):
+        for r in range(1, n):
+            outcomes = []
+            for divide in (divided_difference, product_divided_difference):
+                try:
+                    outcomes.append(("ok", divide(poly, r)))
+                except TheoremViolation as exc:
+                    outcomes.append(("raised", str(exc), exc.witness))
+            assert outcomes[0] == outcomes[1], (poly, r)
+            raised += outcomes[0][0] == "raised"
+    assert raised > 0
+
+
 def test_oracle_frozen_values():
     assert str(schubert_oracle(Permutation.parse("21"))) == "x1"
     assert str(schubert_oracle(Permutation.parse("132"))) == "x1 + x2"

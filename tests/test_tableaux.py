@@ -268,6 +268,55 @@ def test_lehmer_round_trip_all_s4():
         assert isinstance(back, InversionsTableau)
 
 
+def stepping_lehmer_form_inverse(lt: LehmerTableau) -> InversionsTableau:
+    """The earlier ``lehmer_form_inverse``, which steps a candidate up one
+    integer at a time, m + 1 steps for Lehmer value m."""
+    n = lt.n
+    rows = [[0] * (n - i) for i in range(1, n)]
+    for j in range(2, n + 1):
+        used: set[int] = set()
+        for i in range(1, j):
+            m = lt.get(i, j)
+            if m is None:
+                continue
+            candidate = 0
+            remaining = m + 1
+            while remaining:
+                candidate += 1
+                if candidate not in used:
+                    remaining -= 1
+            rows[i - 1][j - i - 1] = candidate
+            used.add(candidate)
+    return InversionsTableau(tuple(tuple(r) for r in rows), lt.w)
+
+
+def test_lehmer_form_inverse_matches_stepping_on_random_fillings():
+    # arbitrary fillings of the inversion diagram of 361542 with values up
+    # to 12, so used entries sit both below and above each candidate
+    rng = random.Random(5)
+    w = T361542.w
+    for _ in range(300):
+        rows = tuple(
+            tuple(rng.randrange(13) if v is not None else None for v in row)
+            for row in lehmer_form(T361542, w).rows
+        )
+        lt = LehmerTableau(w, rows)
+        back = lehmer_form_inverse(lt)
+        assert back == stepping_lehmer_form_inverse(lt), rows
+        assert lehmer_form(back, w) == lt
+
+
+def test_lehmer_round_trip_on_large_entries():
+    # the entry over a Lehmer value near 10**40 is found by counting the
+    # used entries below it, not by stepping up to it
+    w = T361542.w
+    for box in ((4, 6), (5, 6), (1, 3)):
+        t = T361542.with_entries({box: 10**40 + T361542.get(*box)})
+        lt = lehmer_form(t, w)
+        assert lt.get(*box) > 10**40 - 6
+        assert lehmer_form_inverse(lt) == t, box
+
+
 def test_lehmer_leq():
     w = Permutation.parse("2143")
     poset = cached_poset(w)

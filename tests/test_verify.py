@@ -77,3 +77,28 @@ def test_subset_and_order_respected():
     report = run_checks(Permutation.parse("321"), names=("transpose", "sd"))
     assert [c.name for c in report.checks] == ["transpose", "sd"]
     assert report.passed
+
+
+def test_failing_build_runs_once_and_fails_every_check(monkeypatch):
+    # an inverse move that flips only one of its two bits breaks the
+    # build; lru_cache keeps nothing that raised, so run_checks keeps the
+    # violation and every check reports it, with one build in all
+    from chutelat import chute, poset
+    from chutelat.errors import TheoremViolation
+
+    scan = chute.inverse_move_scan
+    monkeypatch.setattr(
+        chute, "inverse_move_scan",
+        lambda n, mask, pipes: [(mv, flip & (flip - 1)) for mv, flip in scan(n, mask, pipes)])
+    w = Permutation.parse("1432")
+    poset.cached_poset.cache_clear()
+    with pytest.raises(TheoremViolation) as exc:
+        poset.enumerate_poset(w)
+    built = []
+    build = poset.enumerate_poset
+    monkeypatch.setattr(poset, "enumerate_poset", lambda v: built.append(v) or build(v))
+    report = run_checks(w)
+    assert built == [w]
+    want = {"message": str(exc.value), "witness": exc.value.witness}
+    assert [c.to_json()["witness"] for c in report.checks] == [want] * len(CHECK_NAMES)
+    assert {c.status for c in report.checks} == {"fail"}
