@@ -30,10 +30,10 @@ per cross, where the rectangle search tested O(n^4) rectangles box by box.
 ``pipedream.route_crosses``), one int per row, so a span test is one AND
 and a comparison, and read a move's pipe pair off the router's pairs by
 mask bit; ``find_moves`` and ``find_inverse_moves`` sort what they find
-on a ``PipeDream``.  With each move a scan hands back the two
-bits the move flips, so ``apply`` and ``inverse_apply`` are scan
-membership, pipe pair included, plus one XOR on the mask.  The tile
-letters stay inside ``pipedream``.
+on a ``PipeDream``.  A scan hands back each move's key and the two bits
+the move flips, so ``apply`` and ``inverse_apply`` are scan membership,
+pipe pair included, plus one XOR on the mask.  The tile letters stay
+inside ``pipedream``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import lru_cache
 
 from .errors import TheoremViolation
 from .pipedream import PipeDream, _cross_mask, _layout, theta, trace
-from .tableaux import InversionsTableau, increment, increment_multiset
+from .tableaux import increment, increment_multiset
 
 __all__ = [
     "ChuteMove",
@@ -109,17 +109,17 @@ def _row_ints(n: int, mask: int) -> list[int]:
 
 
 # a fiber's move edges repeat few moves (116 distinct among the 10,654
-# edges of 12438765), so the scans share one immutable ChuteMove per
-# rectangle and pipe pair; the bound keeps a large n from holding them all
-_shared_move = lru_cache(maxsize=4096)(ChuteMove)
+# edges of 12438765), so one ChuteMove is shared per key, rectangle and
+# routed pipe pair; the bound keeps a large n from holding them all
+_shared_move = lru_cache(maxsize=4096)(lambda key: ChuteMove(*key[:4], *sorted(key[4])))
 
 
-def move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, int]]:
+def move_scan(n: int, mask: int, pipes: list) -> list[tuple[tuple, int]]:
     """The moves that apply to the dream of size n with cross mask
     ``mask`` and pipe pairs ``pipes`` by bit (see
-    ``pipedream.route_crosses``), unsorted, each with the two bits that
-    applying it flips: its northeast cross and its southwest bump.  One
-    scan per northeast cross; the pipe pair is read off its bit.
+    ``pipedream.route_crosses``), unsorted, as keys, each with the two
+    bits that applying it flips: its northeast cross and its southwest
+    bump.  One scan per northeast cross; the pipe pair is read off its bit.
 
     Each row is read run by run: every cross r of a run of crosses shares
     the run's l, the bump just left of it.  A column past a row's interior
@@ -144,29 +144,30 @@ def move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, int]]:
                         b += 1
                     # the bottom row reads B C...C B/E on columns l..r
                     if rows[b] & full == full - west - east:
-                        h, v = pipes[offsets[t] + r - 1]
                         flip = (east << offsets[t]) | (west << offsets[b])
-                        out.append((_shared_move(t, b, l, r, min(h, v), max(h, v)), flip))
+                        out.append(((t, b, l, r, pipes[offsets[t] + r - 1]), flip))
             row &= row + low
     return out
+
+
+def _sorted_moves(scan, dream):
+    found = scan(dream.n, _cross_mask(dream.rows)[0], trace(dream).pipes)
+    return sorted((_shared_move(key) for key, _flip in found), key=move_order)
 
 
 def find_moves(dream: PipeDream) -> list[ChuteMove]:
     """All applicable moves, sorted by (top, left, bottom, right):
     ``move_scan`` on the dream's cross mask and routing."""
-    pipes = trace(dream).pipes
-    out = [mv for mv, _flip in move_scan(dream.n, _cross_mask(dream.rows)[0], pipes)]
-    out.sort(key=move_order)
-    return out
+    return _sorted_moves(move_scan, dream)
 
 
-def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, int]]:
+def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[tuple, int]]:
     """The moves that produce the dream of size n with cross mask ``mask``
     and pipe pairs ``pipes`` by bit (see ``pipedream.route_crosses``),
-    unsorted, each with the two bits that undoing it flips: its southwest
-    cross and its northeast bump.  One scan per southwest cross; the pipe
-    pair is read off the bit of the southwest corner, where the moved
-    crossing now sits.
+    unsorted, as keys, each with the two bits that undoing it flips: its
+    southwest cross and its northeast bump.  One scan per southwest
+    cross; the pipe pair is read off the bit of the southwest corner,
+    where the moved crossing now sits.
 
     Each row is read run by run: every cross l of a run of crosses shares
     the run's r, the first non-cross after it (a row ends in an elbow, so
@@ -191,10 +192,8 @@ def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, i
                     t -= 1
                 # the top row reads B C...C B on columns l..r
                 if t and rows[t] & full == full - west - east:
-                    h, v = pipes[at + l - 1]
-                    lo, hi = (h, v) if h < v else (v, h)
                     flip = (west << at) | (east << offsets[t])
-                    out.append((_shared_move(t, b, l, r, lo, hi), flip))
+                    out.append(((t, b, l, r, pipes[at + l - 1]), flip))
             row &= row + low
     return out
 
@@ -202,30 +201,27 @@ def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[ChuteMove, i
 def find_inverse_moves(dream: PipeDream) -> list[ChuteMove]:
     """All moves that produce this dream, sorted like ``find_moves``:
     ``inverse_move_scan`` on the dream's cross mask and routing."""
-    pipes = trace(dream).pipes
-    out = [mv for mv, _flip in inverse_move_scan(dream.n, _cross_mask(dream.rows)[0], pipes)]
-    out.sort(key=move_order)
-    return out
+    return _sorted_moves(inverse_move_scan, dream)
+
+
+def _flip_move(scan, dream, move, refusal):
+    n, mask = dream.n, _cross_mask(dream.rows)[0]
+    for key, flip in scan(n, mask, trace(dream).pipes):
+        if _shared_move(key) == move:
+            return PipeDream._from_mask(n, mask ^ flip)
+    raise ValueError(f"move {move} {refusal}")
 
 
 def apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Perform the move; rejects a move, pipe pair included, that
     ``move_scan`` does not find on this dream."""
-    n, mask = dream.n, _cross_mask(dream.rows)[0]
-    for mv, flip in move_scan(n, mask, trace(dream).pipes):
-        if mv == move:
-            return PipeDream._from_mask(n, mask ^ flip)
-    raise ValueError(f"move {move} is not applicable")
+    return _flip_move(move_scan, dream, move, "is not applicable")
 
 
 def inverse_apply(dream: PipeDream, move: ChuteMove) -> PipeDream:
     """Undo the move; rejects a move, pipe pair included, that
     ``inverse_move_scan`` does not find on this dream."""
-    n, mask = dream.n, _cross_mask(dream.rows)[0]
-    for mv, flip in inverse_move_scan(n, mask, trace(dream).pipes):
-        if mv == move:
-            return PipeDream._from_mask(n, mask ^ flip)
-    raise ValueError(f"move {move} cannot be undone here")
+    return _flip_move(inverse_move_scan, dream, move, "cannot be undone here")
 
 
 def vertical_pipes(dream: PipeDream, move: ChuteMove) -> tuple[int, ...]:

@@ -2,8 +2,9 @@
 
 Exit status 0 means success (all checks pass, query answered), 1 means a
 theorem violation or failed check (its witness is printed first), 2 means
-a usage error.  Identical invocations print identical bytes, except for
-the measured millisecond fields inside verification reports.
+a usage error or running out of memory.  Identical invocations print
+identical bytes, except for the measured millisecond fields inside
+verification reports.
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 2
 
 

@@ -4,7 +4,7 @@ The partial order is the reflexive-transitive closure of single chute
 moves.  A poset is built by a downward breadth-first search from the seed
 dream, the top of the fiber, by inverse moves alone (Bergeron and Billey,
 1993); after that every query (covers, meets, joins, intervals) runs on
-dense bitmask closures.  Nothing here assumes the structural theorems:
+bitmask closures.  Nothing here assumes the structural theorems:
 meets and joins are searched for and their uniqueness is checked, with a
 TheoremViolation carrying a witness whenever a check fails.
 
@@ -97,10 +97,11 @@ class ChutePoset:
     Elements sit in a canonical order (undirected distance from the seed
     over move edges, then the serialized grid as tie-break), so indices,
     DOT output, and witnesses are stable across runs.  Internally every
-    element carries bitmasks of its strict up- and down-sets, with bit r
-    standing for the element of Lehmer-total rank r (canonical index
-    ``_order[r]``); covers are the single-move edges with nothing strictly
-    between.
+    element carries a bitmask of its strict down-set, with bit r standing
+    for the element of Lehmer-total rank r (canonical index ``_order[r]``).
+    The pass that makes them reads off the covers, the moves with nothing
+    strictly between, and a row that drops none is stored as the move row.
+    ``_up``, ``index`` and ``_covers_down`` are made on first use.
 
     ``vectors[k]`` is the Lehmer vector of element k,
     ``lehmer_vector(theta(elements[k]), w)``, ``moves_up[k]`` holds the
@@ -123,10 +124,9 @@ class ChutePoset:
         if cross_masks is None:
             cross_masks = tuple(_cross_mask(d.rows)[0] for d in elements)
         self.cross_masks = cross_masks
-        self.index = {d: k for k, d in enumerate(elements)}
-        if len(self.index) != len(elements):
-            raise ValueError("duplicate elements")
         size = len(elements)
+        if len(set(elements)) != size:
+            raise ValueError("duplicate elements")
         if len(vectors) != size:
             raise ValueError("need one Lehmer vector per element")
         if len(moves_up) != size:
@@ -157,29 +157,24 @@ class ChutePoset:
             rank[k] = r
         self._order = tuple(order)
         self._rank = tuple(rank)
-        up = [0] * size
-        for k in reversed(order):
-            m = 0
-            for _mv, j in self._moves_up[k]:
-                m |= (1 << rank[j]) | up[j]
-            up[k] = m
+        # up the ranks, down[k] ORs the strict down-sets of the sources of
+        # moves into k, ends[k] their bits; a source in both is no cover
         down = [0] * size
-        for k in order:
-            bit = 1 << rank[k]
-            for _mv, j in self._moves_up[k]:
-                down[j] |= bit | down[k]
-        self._up = tuple(up)
+        ends = [0] * size
+        covers = list(moves_up)
+        for r, k in enumerate(order):
+            below, bits = down[k], ends[k]
+            ends[k] = 0
+            for s in _bits(below & bits):
+                c = order[s]
+                covers[c] = tuple(e for e in covers[c] if e[1] != k)
+            down[k] = m = below | bits
+            bit = 1 << r
+            for _mv, j in moves_up[k]:
+                down[j] |= m
+                ends[j] |= bit
         self._down = tuple(down)
-        covers_up = []
-        covers_down = [[] for _ in range(size)]
-        for k, moves in enumerate(self._moves_up):
-            row = tuple((mv, j) for (mv, j) in moves if up[k] & down[j] == 0)
-            # a row that drops no move is stored once, as the move row
-            covers_up.append(moves if len(row) == len(moves) else row)
-            for _mv, j in row:
-                covers_down[j].append(k)
-        self._covers_up = tuple(covers_up)
-        self._covers_down = tuple(tuple(sorted(c)) for c in covers_down)
+        self._covers_up = tuple(covers)
         self._full = (1 << size) - 1
         # verify's fork tables: the join of each up-fork and the meet of
         # each down-fork, built on first use
@@ -197,6 +192,28 @@ class ChutePoset:
     @cached_property
     def theta_index(self) -> dict[InversionsTableau, int]:
         return {t: k for k, t in enumerate(self.thetas)}
+
+    @cached_property
+    def index(self):
+        return {d: k for k, d in enumerate(self.elements)}
+
+    @cached_property
+    def _up(self):
+        rank, up = self._rank, [0] * self.size
+        for k in reversed(self._order):
+            m = 0
+            for _mv, j in self._moves_up[k]:
+                m |= (1 << rank[j]) | up[j]
+            up[k] = m
+        return tuple(up)
+
+    @cached_property
+    def _covers_down(self):
+        rows = [[] for _ in self.elements]
+        for k, row in enumerate(self._covers_up):
+            for _mv, j in row:
+                rows[j].append(k)
+        return tuple(map(tuple, rows))
 
     @property
     def size(self) -> int:
@@ -432,10 +449,10 @@ def fork_polygon(
 
 def _undirected_depth(up: list[list]) -> list[int]:
     """Distance from element 0 over the move edges, each taken both ways;
-    ``up[j]`` lists element j's moves with their targets' ids."""
+    ``up[j]`` lists element j's moves, each then its target's id."""
     neighbours: list[list[int]] = [[] for _ in up]
     for j, row in enumerate(up):
-        for _mv, k in row:
+        for k in row[1::2]:
             neighbours[j].append(k)
             neighbours[k].append(j)
     depth = [-1] * len(up)
@@ -453,14 +470,14 @@ def _vector_or_violation(w: Permutation, dreams: list, up: list, k: int) -> tupl
     """Element k's Lehmer vector by ``phi_vector``'s tableau route, for a
     dream whose crossing read failed; the ValueError naming the failed
     check becomes a TheoremViolation with the dream and its source, the
-    element whose inverse move first reached it (``up[k][0]``), as
+    element whose inverse move first reached it (``up[k][:2]``), as
     witness."""
     try:
         return phi_vector(dreams[k], w)
     except ValueError as exc:
         witness = {"w": str(w), "dream": dreams[k].to_json()}
         if k:
-            mv, source = up[k][0]
+            mv, source = up[k][:2]
             witness["source"] = dreams[source].to_json()
             witness["move"] = mv.to_json()
         raise TheoremViolation(str(exc), witness=witness) from None
@@ -525,6 +542,7 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         slots = _lehmer_slots(w)
         pipes = routing.pipes
         route, scan, from_mask = route_crosses, chute.inverse_move_scan, PipeDream._from_mask
+        move = chute._shared_move
         # masks grows while it is walked, which makes it the BFS queue
         for k, mask in enumerate(masks):
             if k:
@@ -533,7 +551,7 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
             if vector is None:
                 vector = _vector_or_violation(w, dreams, up, k)
             vectors.append(vector)
-            for mv, flip in scan(n, mask, pipes):
+            for key, flip in scan(n, mask, pipes):
                 # the scan has just found the move, which is all that
                 # chute.inverse_apply checks, so the flip needs no check
                 target = mask ^ flip
@@ -543,21 +561,24 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
                     masks.append(target)
                     dreams.append(from_mask(n, target))
                     up.append([])
-                up[j].append((mv, k))
+                up[j] += move(key), k
         depth = _undirected_depth(up)
         order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
         canon = [0] * len(order)
         for pos, k in enumerate(order):
             canon[k] = pos
-        for row in up:
+        moves_up = []
+        for k in order:
+            pairs = iter(up[k])
+            row = [(mv, canon[j]) for mv, j in zip(pairs, pairs)]
             if len(row) > 1:
                 row.sort(key=lambda e: chute.move_order(e[0]))
-        moves_up = tuple(tuple((mv, canon[j]) for mv, j in up[k]) for k in order)
+            moves_up.append(tuple(row))
         return ChutePoset(
             w,
             tuple(dreams[k] for k in order),
             tuple(vectors[k] for k in order),
-            moves_up,
+            tuple(moves_up),
             tuple(masks[k] for k in order),
         )
     finally:
@@ -760,5 +781,5 @@ def to_dot(poset: ChutePoset) -> str:
     for k in range(poset.size):
         for mv, j in poset.covers_up_idx(k):
             lines.append(f'  {k} -> {j} [label="({mv.pipe_lo},{mv.pipe_hi})"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

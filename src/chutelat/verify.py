@@ -175,7 +175,7 @@ def _unbounded_pair(poset: ChutePoset):
     """Two move-minimal or two move-maximal elements, or None.  Moves are
     acyclic (``ChutePoset.__init__`` checks that each raises the Lehmer
     total), so one source and one sink are a bottom and a top."""
-    for strict in (poset._down, poset._up):
+    for strict in (poset._down, poset._moves_up):
         ends = [k for k, mask in enumerate(strict) if not mask]
         if len(ends) != 1:
             return tuple(ends[:2])

@@ -73,6 +73,24 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, command):
+    # a build that runs out of memory is not a failed check (exit 1) but
+    # a run that could not be made: exit 2, one line on stderr
+    from chutelat import poset
+
+    def build(w):
+        raise MemoryError
+
+    monkeypatch.setattr(poset, "enumerate_poset", build)
+    cached_poset.cache_clear()
+    code, out, err = run(capsys, command, "1432")
+    cached_poset.cache_clear()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: out of memory in {command}\n"
+
+
 def test_hasse_writes_dot(capsys, tmp_path):
     target = tmp_path / "out.dot"
     code, out, _ = run(capsys, "hasse", "2143", "--dot", str(target))

@@ -463,6 +463,64 @@ def test_rank_bitsets_match_oracle_on_sampled_n7(monkeypatch):
         assert got == want, w
 
 
+def eager_closures(poset):
+    """The strict up- and down-sets in rank layout, by the two passes
+    ``ChutePoset.__init__`` ran before its one down-set pass read the
+    cover rows as well."""
+    rank, order = poset._rank, poset._order
+    up = [0] * poset.size
+    for k in reversed(order):
+        m = 0
+        for _mv, j in poset._moves_up[k]:
+            m |= (1 << rank[j]) | up[j]
+        up[k] = m
+    down = [0] * poset.size
+    for k in order:
+        bit = 1 << rank[k]
+        for _mv, j in poset._moves_up[k]:
+            down[j] |= bit | down[k]
+    return tuple(up), tuple(down)
+
+
+def assert_covers_and_closures_agree(fast):
+    """Cover rows against the oracle's ``up[k] & down[j]`` rule, a row
+    that drops no move stored as the move row itself, and the closures
+    against the eager passes; returns the number of non-cover moves."""
+    oracle = OraclePoset(fast)
+    assert fast._covers_up == oracle._covers_up
+    assert fast._covers_down == oracle._covers_down
+    for covers, moves in zip(fast._covers_up, fast._moves_up):
+        assert (covers is moves) == (len(covers) == len(moves))
+    assert (fast._up, fast._down) == eager_closures(fast)
+    return sum(map(len, fast._moves_up)) - sum(map(len, fast._covers_up))
+
+
+def test_cover_rows_and_closures_match_the_eager_rule():
+    words = [w for n in (4, 5, 6) for w in itertools.permutations(range(1, n + 1))]
+    perms = [Permutation(w) for w in words] + sampled_n7()
+    perms += [Permutation.parse("1327654"), Permutation.parse("12438765")]
+    for w in perms:
+        assert assert_covers_and_closures_agree(cached_poset(w)) == 0, w
+
+
+def test_cover_rows_and_closures_match_the_eager_rule_on_random_move_graphs():
+    # random acyclic move graphs on real dreams of 361542, in a shuffled
+    # canonical order, each move raising the Lehmer total; most hold
+    # moves that skip an element, which the one down-set pass must drop
+    real = _real_361542()
+    skipping = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        picks = rng.sample(range(real.size), rng.randint(2, real.size))
+        totals = [sum(real.vectors[k]) for k in picks]
+        targets = [
+            [j for j, t in enumerate(totals) if t > s and rng.random() < 0.35] for s in totals
+        ]
+        skipped = assert_covers_and_closures_agree(hand_built_361542(picks, targets))
+        skipping += skipped > 0
+    assert skipping >= 20
+
+
 def _drop_edge(poset, k, i):
     moves = list(poset._moves_up)
     moves[k] = moves[k][:i] + moves[k][i + 1:]

@@ -1,10 +1,12 @@
 import gc
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
 from chutelat import chute as chute_module
+from chutelat import cli as cli_module
 from chutelat import pipedream as pipedream_module
 from chutelat import poset as poset_module
 from chutelat import schubert as schubert_module
@@ -267,6 +269,39 @@ def test_single_moves_all_covers_false_on_a_skipping_move():
     hexagon = hand_built_361542((0, 1, 1, 2, 2, 3), ((1, 2), (3,), (4,), (5,), (5,), ()))
     assert single_moves_all_covers(hexagon)
     assert all(hexagon.covers_up_idx(k) is hexagon._moves_up[k] for k in range(6))
+
+
+def test_digest_builds_no_up_set_and_verify_builds_each_once(capsys, monkeypatch):
+    # listing, DOT and the cover count read the down-set pass alone; the
+    # up-sets, the element index and the lower cover rows wait for a
+    # query, and a verify run asks for the up-sets and lower covers once
+    w = Permutation.parse("1327654")
+    cached_poset.cache_clear()
+    poset = cached_poset(w)
+    assert cli_module.main(["enumerate", str(w), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == poset.size == 660
+    assert to_dot(poset).count(" -> ") == sum(map(len, poset._moves_up))
+    assert single_moves_all_covers(poset)
+    lazy = ("_up", "index", "_covers_down")
+    assert not set(lazy) & set(vars(poset))
+    built = []
+
+    def counting(name, make):
+        return lambda p: built.append(name) or make(p)
+
+    for name in lazy:
+        prop = ChutePoset.__dict__[name]
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    assert verify_module.run_checks(w).passed
+    assert sorted(built) == ["_covers_down", "_up"]
+
+
+def test_idx_and_duplicate_elements_raise_value_error():
+    real = cached_poset(Permutation.parse("1432"))
+    with pytest.raises(ValueError, match="not an element of this poset"):
+        real.idx(cached_poset(Permutation.parse("2143")).elements[0])
+    with pytest.raises(ValueError, match="^duplicate elements$"):
+        ChutePoset(real.w, real.elements[:1] * 2, real.vectors[:2], ((), ()))
 
 
 def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
