@@ -1,29 +1,26 @@
 """Chute-move posets: enumeration, lattice queries, polygons, chute paths.
 
 The partial order is the reflexive-transitive closure of single chute
-moves.  A poset is built by a downward breadth-first search from the seed
-dream, the top of the fiber, by inverse moves alone (Bergeron and Billey,
-1993); after that every query (covers, meets, joins, intervals) runs on
-bitmask closures.  Nothing here assumes the structural theorems:
-meets and joins are searched for and their uniqueness is checked, with a
+moves.  Nothing here assumes the structural theorems: meets and joins
+are searched for and their uniqueness is checked, with a
 TheoremViolation carrying a witness whenever a check fails.
 
-Bit layout: bit r of a closure mask stands for the element of rank r in
-one linear extension, the order by Lehmer total with the canonical index
-as tie-break.  ``ChutePoset._order[r]`` is that element's canonical index
-and ``ChutePoset._rank`` maps back; nothing outside the masks sees ranks.
-A greatest lower bound, if it exists, is then the top set bit of the
+Bit r of a closure mask stands for the element of rank r in one linear
+extension, by Lehmer total with the canonical index as tie-break.  A
+greatest lower bound, if it exists, is then the top set bit of the
 common down-set and a least upper bound the lowest set bit of the common
-up-set (Freese, Jezek and Nation, *Free Lattices*, 1995, on algorithms
-for finite lattices).
+up-set (Freese, Jezek and Nation, *Free Lattices*, 1995).
 """
 
 from __future__ import annotations
 
 import gc
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import accumulate, chain
 
 from . import chute
 from .errors import Incomparable, TheoremViolation
@@ -80,6 +77,20 @@ def _bits(mask: int):
         mask ^= low
 
 
+_Csr = namedtuple("_Csr", "starts targets move_ids moves")
+
+
+def _csr(rows) -> _Csr:
+    """Rows of (move, target) pairs in CSR form."""
+    starts, targets, move_ids, ids = array("i", [0]), array("i"), array("i"), {}
+    for row in rows:
+        for mv, j in row:
+            move_ids.append(ids.setdefault(mv, len(ids)))
+            targets.append(j)
+        starts.append(len(targets))
+    return _Csr(starts, targets, move_ids, tuple(ids))
+
+
 def seed_dream(w: Permutation) -> PipeDream:
     """Left-justified filling: row i holds crosses in columns 1..c(i) where
     c is the Lehmer code of the inverse permutation.  Under the exit-label
@@ -91,32 +102,49 @@ def seed_dream(w: Permutation) -> PipeDream:
     )
 
 
+class _Lazy:
+    """Made on first read by the poset method named ``make``, which stores
+    the field, and any made alongside, as an instance attribute; this
+    non-data descriptor then yields to it."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        getattr(obj, self.make)()
+        return obj.__dict__[self.name]
+
+
 class ChutePoset:
     """All reduced pipe dreams of one wiring, ordered by chute moves.
 
     Elements sit in a canonical order (undirected distance from the seed
     over move edges, then the serialized grid as tie-break), so indices,
-    DOT output, and witnesses are stable across runs.  Internally every
-    element carries a bitmask of its strict down-set, with bit r standing
-    for the element of Lehmer-total rank r (canonical index ``_order[r]``).
-    The pass that makes them reads off the covers, the moves with nothing
-    strictly between, and a row that drops none is stored as the move row.
-    ``_up``, ``index`` and ``_covers_down`` are made on first use.
+    DOT output, and witnesses are stable across runs.  ``cross_masks[k]``
+    is element k's cross mask, read off its rows when not given.
 
-    ``vectors[k]`` is the Lehmer vector of element k,
-    ``lehmer_vector(theta(elements[k]), w)``, ``moves_up[k]`` holds the
-    moves out of element k, in the order ``chute.find_moves`` returns them,
-    each paired with its target's index, and ``cross_masks[k]`` is element
-    k's cross mask (see ``pipedream.route_crosses``), read off its rows when
-    not given.
+    The store is flat: element k's moves, in ``chute.find_moves`` order,
+    are the CSR row ``_starts[k]:_starts[k + 1]`` of ``_targets`` and of
+    ``_move_ids``, indices into ``_moves``; ``moves_up`` gives (move,
+    target) rows or a ``_Csr``.  Its Lehmer vector is run k of ``_width``
+    entries of ``_flat``, its total ``_totals[k]``.  The rest is made on
+    first read (``_Lazy``): ``vectors``, ``_up``, ``index``,
+    ``_covers_down``, and by one ``_closure_pass`` the rank order, the
+    strict down-sets (bit r for the element of rank r, ``_order[r]``) and
+    the cover rows.
     """
 
     def __init__(
         self,
         w: Permutation,
         elements: tuple[PipeDream, ...],
-        vectors: tuple,
-        moves_up: tuple,
+        vectors,
+        moves_up,
         cross_masks: tuple | None = None,
     ):
         self.w = w
@@ -129,91 +157,99 @@ class ChutePoset:
             raise ValueError("duplicate elements")
         if len(vectors) != size:
             raise ValueError("need one Lehmer vector per element")
-        if len(moves_up) != size:
-            raise ValueError("need one row of moves per element")
-        self.vectors = vectors
-        # the column relabeling is a bijection on column-injective
-        # tableaux, so the vectors are distinct exactly when the
-        # crossing-row tableaux are
+        if not isinstance(moves_up, _Csr):
+            if len(moves_up) != size:
+                raise ValueError("need one row of moves per element")
+            moves_up = _csr(moves_up)
+        self._starts, self._targets, self._move_ids, self._moves = moves_up
+        starts, targets = self._starts, self._targets
+        # the vectors are distinct iff the crossing-row tableaux are
         if len(set(vectors)) != size:
             raise TheoremViolation(
                 "crossing-row map is not injective on this fiber",
                 witness={"w": str(w)},
             )
-        self._moves_up: tuple = moves_up
-        totals = [sum(v) for v in self.vectors]
-        for k, row in enumerate(self._moves_up):
-            for _mv, j in row:
-                if totals[j] <= totals[k]:
+        self._totals = totals = list(map(sum, vectors))
+        for k in range(size):
+            total = totals[k]
+            for j in targets[starts[k]:starts[k + 1]]:
+                if totals[j] <= total:
                     raise TheoremViolation(
                         "a move failed to raise the Lehmer total",
                         witness={"from": elements[k].to_json(), "to": elements[j].to_json()},
                     )
-        # bit r of every mask is the element of Lehmer-total rank r, so a
-        # mask's high bits are its high elements in a linear extension
-        order = sorted(range(size), key=lambda k: (totals[k], k))
-        rank = [0] * size
-        for r, k in enumerate(order):
-            rank[k] = r
-        self._order = tuple(order)
-        self._rank = tuple(rank)
-        # up the ranks, down[k] ORs the strict down-sets of the sources of
-        # moves into k, ends[k] their bits; a source in both is no cover
-        down = [0] * size
-        ends = [0] * size
-        covers = list(moves_up)
+        self._flat = array("i", list(chain.from_iterable(vectors)))
+        self._width = size and len(self._flat) // size
+        # verify's fork tables (joins of up-forks, meets of down-forks)
+        self._up_fork_bounds = None
+        self._down_fork_bounds = None
+
+    def _closure_pass(self) -> None:
+        """Up the ranks, down[k] ORs the strict down-sets of the sources of
+        moves into k, ends[k] their bits; a source in both is no cover.
+        Stable sorts; ``ints`` shares one int object per index."""
+        size, starts, targets = self.size, self._starts, self._targets
+        ints = list(range(size))
+        order = sorted(ints, key=self._totals.__getitem__)
+        rank = sorted(ints, key=order.__getitem__)
+        down, ends = [0] * size, [0] * size
+        shared = list(map(ints.__getitem__, targets))
+        covers = list(map(tuple, map(shared.__getitem__, map(slice, starts, starts[1:]))))
         for r, k in enumerate(order):
             below, bits = down[k], ends[k]
             ends[k] = 0
             for s in _bits(below & bits):
                 c = order[s]
-                covers[c] = tuple(e for e in covers[c] if e[1] != k)
+                covers[c] = tuple(j for j in covers[c] if j != k)
             down[k] = m = below | bits
             bit = 1 << r
-            for _mv, j in moves_up[k]:
+            # k's move row: only targets of k drop from it
+            for j in covers[k]:
                 down[j] |= m
                 ends[j] |= bit
-        self._down = tuple(down)
-        self._covers_up = tuple(covers)
-        self._full = (1 << size) - 1
-        # verify's fork tables: the join of each up-fork and the meet of
-        # each down-fork, built on first use
-        self._up_fork_bounds = None
-        self._down_fork_bounds = None
+        self._order, self._rank = tuple(order), tuple(rank)
+        self._down, self._covers_up = tuple(down), tuple(covers)
 
-    # -- basic lookups ------------------------------------------------------
+    def _make_vectors(self) -> None:
+        # zip() of nothing yields nothing
+        m = self._width
+        self.vectors = tuple(zip(*[iter(self._flat)] * m)) if m else ((),) * self.size
 
-    @cached_property
-    def thetas(self) -> tuple[InversionsTableau, ...]:
-        """Each element's crossing-row tableau, built on first use; the
-        build and the checks read only ``vectors``."""
-        return tuple(theta(d) for d in self.elements)
-
-    @cached_property
-    def theta_index(self) -> dict[InversionsTableau, int]:
-        return {t: k for k, t in enumerate(self.thetas)}
-
-    @cached_property
-    def index(self):
-        return {d: k for k, d in enumerate(self.elements)}
-
-    @cached_property
-    def _up(self):
-        rank, up = self._rank, [0] * self.size
+    def _make_up(self) -> None:
+        rank, covers, up = self._rank, self._covers_up, [0] * self.size
         for k in reversed(self._order):
             m = 0
-            for _mv, j in self._moves_up[k]:
+            for j in covers[k]:
                 m |= (1 << rank[j]) | up[j]
             up[k] = m
-        return tuple(up)
+        self._up = tuple(up)
 
-    @cached_property
-    def _covers_down(self):
+    def _make_covers_down(self) -> None:
         rows = [[] for _ in self.elements]
         for k, row in enumerate(self._covers_up):
-            for _mv, j in row:
+            for j in row:
                 rows[j].append(k)
-        return tuple(map(tuple, rows))
+        self._covers_down = tuple(map(tuple, rows))
+
+    def _make_index(self) -> None:
+        self.index = {d: k for k, d in enumerate(self.elements)}
+
+    def _make_thetas(self) -> None:
+        self.thetas = tuple(theta(d) for d in self.elements)
+        self.theta_index = {t: k for k, t in enumerate(self.thetas)}
+
+    _order = _Lazy("_closure_pass")
+    _rank = _Lazy("_closure_pass")
+    _down = _Lazy("_closure_pass")
+    _covers_up = _Lazy("_closure_pass")
+    vectors = _Lazy("_make_vectors")
+    _up = _Lazy("_make_up")
+    _covers_down = _Lazy("_make_covers_down")
+    index = _Lazy("_make_index")
+    thetas = _Lazy("_make_thetas")
+    theta_index = _Lazy("_make_thetas")
+
+    # -- basic lookups ------------------------------------------------------
 
     @property
     def size(self) -> int:
@@ -225,11 +261,16 @@ class ChutePoset:
         except KeyError:
             raise ValueError("dream is not an element of this poset") from None
 
+    def moves_up_idx(self, a: int) -> tuple:
+        """Element a's moves, each paired with its target."""
+        moves, ids, targets = self._moves, self._move_ids, self._targets
+        return tuple((moves[ids[e]], targets[e]) for e in range(self._starts[a], self._starts[a + 1]))
+
     def moves_from(self, p: PipeDream) -> tuple:
         """Applicable moves with their targets, in rectangle order."""
-        return tuple((mv, self.elements[j]) for mv, j in self._moves_up[self.idx(p)])
+        return tuple((mv, self.elements[j]) for mv, j in self.moves_up_idx(self.idx(p)))
 
-    def covers_up_idx(self, a: int) -> tuple:
+    def covers_up_idx(self, a: int) -> tuple[int, ...]:
         return self._covers_up[a]
 
     def covers_down_idx(self, a: int) -> tuple[int, ...]:
@@ -254,11 +295,17 @@ class ChutePoset:
     def leq(self, p: PipeDream, q: PipeDream) -> bool:
         return self.leq_idx(self.idx(p), self.idx(q))
 
+    def _ends(self) -> tuple[list[int], list[int]]:
+        """Sources and sinks of the move graph."""
+        starts = self._starts
+        return ([k for k, m in enumerate(self._down) if not m],
+                [k for k in range(self.size) if starts[k] == starts[k + 1]])
+
     def min_element(self) -> PipeDream:
         """The unique source, which is the minimum: ``__init__`` checks that
         every move raises the Lehmer total, so moves are acyclic and every
         element lies above some source."""
-        sources = [k for k in range(self.size) if not self._down[k]]
+        sources = self._ends()[0]
         if len(sources) != 1:
             raise TheoremViolation(
                 f"{len(sources)} move-minimal elements",
@@ -268,7 +315,7 @@ class ChutePoset:
 
     def max_element(self) -> PipeDream:
         """The unique sink, which is the maximum by the dual argument."""
-        sinks = [k for k in range(self.size) if not self._moves_up[k]]
+        sinks = self._ends()[1]
         if len(sinks) != 1:
             raise TheoremViolation(
                 f"{len(sinks)} move-maximal elements",
@@ -384,7 +431,7 @@ def classify_polygon(iv: Interval) -> PolygonType:
     # every member but the top
     for r in _bits(mask & poset._down[iv.top]):
         k = order[r]
-        upper = sum((mask >> rank[j]) & 1 for _mv, j in poset.covers_up_idx(k))
+        upper = sum((mask >> rank[j]) & 1 for j in poset.covers_up_idx(k))
         if upper != (2 if k == iv.bottom else 1):
             return PolygonType.NOT_A_POLYGON
     if size == 4:
@@ -418,17 +465,13 @@ def fork_polygon(
     that are >= the meet a, and upper covers of a.
     """
     rank = poset._rank
-    if up:
-        inside = poset._down0(bound)
-        ends = poset.covers_down_idx(bound)
-    else:
-        inside = poset._up0(bound)
-        ends = [j for _mv, j in poset.covers_up_idx(bound)]
+    inside = poset._down0(bound) if up else poset._up0(bound)
+    onward = poset._covers_up if up else poset._covers_down
+    ends = (poset._covers_down if up else poset._covers_up)[bound]
 
     def steps(k):
         # the covers of k that lead away from g and stay inside the span
-        row = [j for _mv, j in poset.covers_up_idx(k)] if up else poset.covers_down_idx(k)
-        return [j for j in row if (inside >> rank[j]) & 1]
+        return [j for j in onward[k] if (inside >> rank[j]) & 1]
 
     if len(steps(g)) != 2:
         return None
@@ -466,20 +509,19 @@ def _undirected_depth(up: list[list]) -> list[int]:
     return depth
 
 
-def _vector_or_violation(w: Permutation, dreams: list, up: list, k: int) -> tuple[int, ...]:
-    """Element k's Lehmer vector by ``phi_vector``'s tableau route, for a
-    dream whose crossing read failed; the ValueError naming the failed
-    check becomes a TheoremViolation with the dream and its source, the
-    element whose inverse move first reached it (``up[k][:2]``), as
-    witness."""
+def _vector_or_violation(w: Permutation, dreams: list, up: list, keys: dict, k: int) -> tuple:
+    """Element k's Lehmer vector by ``phi_vector``, for a dream whose
+    crossing read failed; its ValueError becomes a TheoremViolation with
+    the dream, and the source and move that first reached it
+    (``up[k][:2]``, a key id in ``keys``), as witness."""
     try:
         return phi_vector(dreams[k], w)
     except ValueError as exc:
         witness = {"w": str(w), "dream": dreams[k].to_json()}
         if k:
-            mv, source = up[k][:2]
+            m, source = up[k][:2]
             witness["source"] = dreams[source].to_json()
-            witness["move"] = mv.to_json()
+            witness["move"] = chute._shared_move(list(keys)[m]).to_json()
         raise TheoremViolation(str(exc), witness=witness) from None
 
 
@@ -490,40 +532,17 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     The seed is the top of PD(w), and inverse chute moves from it reach
     every reduced pipe dream of w (Bergeron and Billey, "RC-graphs and
     Schubert polynomials", *Exp. Math.* 2 (1993)).  An inverse move from d
-    to e is the move edge e -> d, so it is recorded in e's row, and each
-    row is sorted by (top, left, bottom, right), the order
-    ``chute.find_moves`` returns.  The canonical depth of an element is its
-    undirected distance from the seed over these edges, the layer an
-    undirected search by moves and inverse moves would put it in.
+    to e is the move edge e -> d, recorded in e's row.  An element's
+    canonical depth is its undirected distance from the seed over them.
 
-    The search carries each dream as its cross mask (see
-    ``pipedream.route_crosses``) and routes each element once, the seed
-    through ``trace`` and every other element by ``route_crosses`` on its
-    mask.  That one routing pass gives everything the element needs: its
-    pipe pairs by mask bit are read into the Lehmer vector by
-    ``pipedream._crossing_vector``, through a table of w's inversion
-    slots built once per build, and give ``chute.inverse_move_scan`` each
-    move's pipe pair by index.  Each inverse move's target is its
-    source's mask with two bits flipped and is looked up by that int; a
-    ``PipeDream`` is made only for a mask not reached before, by
-    ``PipeDream._from_mask`` from rows shared through a bounded cache of
-    row strings, which are valid by construction and so not re-checked.
-
-    When the vector read fails a check, ``phi_vector``'s tableau route
-    names the failure, and it is raised as a TheoremViolation carrying
-    w, the dream and the dream it was first reached from by an inverse
-    move, with that move: every element but the seed is the target of a
-    found move, so a failure there is a broken move or a broken read,
-    never bad input.
-
-    The seed's wiring and its having no up-move are re-checked at runtime;
-    either failing means the seed construction itself is broken, so it
-    aborts loudly.
-
-    The cyclic garbage collector is off for the build and restored after
-    it: the build allocates tens of thousands of long-lived tuples and
-    dreams and no reference cycles, so the collections those allocations
-    trigger would free nothing."""
+    Each dream is a cross mask, routed once (the seed by ``trace``), whose
+    pipe pairs by bit give its Lehmer vector (``_crossing_vector``) and
+    its inverse moves (``chute.inverse_move_scan``).  A target is the mask
+    with two bits flipped; only a new one becomes a ``PipeDream``,
+    unchecked.  A failed vector read is raised with its witness (see
+    ``_vector_or_violation``); a seed not wired to w or with an up-move
+    aborts loudly.  The cyclic collector is off for the build: it makes
+    many long-lived objects and no cycles."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -539,17 +558,17 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         dreams = [seed]
         vectors = []
         up: list[list] = [[]]
+        keys: dict = {}
         slots = _lehmer_slots(w)
         pipes = routing.pipes
         route, scan, from_mask = route_crosses, chute.inverse_move_scan, PipeDream._from_mask
-        move = chute._shared_move
         # masks grows while it is walked, which makes it the BFS queue
         for k, mask in enumerate(masks):
             if k:
                 pipes = route(n, mask)[1]
             vector = _crossing_vector(pipes, slots)
             if vector is None:
-                vector = _vector_or_violation(w, dreams, up, k)
+                vector = _vector_or_violation(w, dreams, up, keys, k)
             vectors.append(vector)
             for key, flip in scan(n, mask, pipes):
                 # the scan has just found the move, which is all that
@@ -561,24 +580,35 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
                     masks.append(target)
                     dreams.append(from_mask(n, target))
                     up.append([])
-                up[j] += move(key), k
+                up[j] += keys.setdefault(key, len(keys)), k
+        size = len(dreams)
         depth = _undirected_depth(up)
-        order = sorted(range(len(dreams)), key=lambda k: (depth[k], dreams[k].rows))
-        canon = [0] * len(order)
+        order = sorted(range(size), key=lambda k: (depth[k], dreams[k].rows))
+        canon = [0] * size
         for pos, k in enumerate(order):
             canon[k] = pos
-        moves_up = []
-        for k in order:
-            pairs = iter(up[k])
-            row = [(mv, canon[j]) for mv, j in zip(pairs, pairs)]
-            if len(row) > 1:
-                row.sort(key=lambda e: chute.move_order(e[0]))
-            moves_up.append(tuple(row))
+        # each key's place among the moves in move order
+        found = list(map(chute._shared_move, keys))
+        by_order = sorted(range(len(found)), key=lambda m: chute.move_order(found[m]))
+        place = {m: pos for pos, m in enumerate(by_order)}
+        # sorted by source, move and target: the CSR rows
+        nm, counts = len(found), [0] * size
+        for s, row in enumerate(up):
+            counts[canon[s]] = len(row) >> 1
+        edges = sorted([
+            (canon[s] * nm + place[m]) * size + canon[t]
+            for s, row in enumerate(up) for m, t in zip(row[::2], row[1::2])
+        ])
         return ChutePoset(
             w,
             tuple(dreams[k] for k in order),
-            tuple(vectors[k] for k in order),
-            tuple(moves_up),
+            [vectors[k] for k in order],
+            _Csr(
+                array("i", accumulate(counts, initial=0)),
+                array("i", [e % size for e in edges]),
+                array("i", [e // size % nm for e in edges]),
+                tuple(found[m] for m in by_order),
+            ),
             tuple(masks[k] for k in order),
         )
     finally:
@@ -636,7 +666,7 @@ def theta_inverse(t: InversionsTableau) -> PipeDream:
 def single_moves_all_covers(poset: ChutePoset) -> bool:
     """Whether every single move lands on a cover.  Measured, never assumed:
     a row of covers is its row of moves less what transitive reduction drops."""
-    return all(len(c) == len(m) for c, m in zip(poset._covers_up, poset._moves_up))
+    return sum(map(len, poset._covers_up)) == len(poset._targets)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +808,16 @@ def to_dot(poset: ChutePoset) -> str:
         # only C, B and E, so nothing else needs escaping
         rows = ",".join(f'\\"{row}\\"' for row in d.rows)
         lines.append(f'  {k} [tooltip="{{\\"n\\":{d.n},\\"rows\\":[{rows}]}}"];')
-    for k in range(poset.size):
-        for mv, j in poset.covers_up_idx(k):
-            lines.append(f'  {k} -> {j} [label="({mv.pipe_lo},{mv.pipe_hi})"];')
+    labels = [f"({mv.pipe_lo},{mv.pipe_hi})" for mv in poset._moves]
+    starts, targets, ids = poset._starts, poset._targets, poset._move_ids
+    # one string per row
+    for k, covers in enumerate(poset._covers_up):
+        row = [
+            f'  {k} -> {targets[e]} [label="{labels[ids[e]]}"];'
+            for e in range(starts[k], starts[k + 1])
+            if targets[e] in covers
+        ]
+        if row:
+            lines.append("\n".join(row))
     lines.append("}\n")
     return "\n".join(lines)

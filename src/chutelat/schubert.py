@@ -166,7 +166,8 @@ def divided_difference(poly: IntPolynomial, r: int) -> IntPolynomial:
     return out
 
 
-@lru_cache(maxsize=None)
+# holds all of S_6, so an S_6 sweep computes each word once
+@lru_cache(maxsize=1024)
 def _oracle_by_word(word: tuple[int, ...]) -> IntPolynomial:
     n = len(word)
     for r in range(1, n):

@@ -126,10 +126,10 @@ def check_isomorphism(poset: ChutePoset, deadline: Deadline):
     ``ChutePoset.__init__`` has made the forms distinct (theta is injective,
     and so is ``lehmer_form``); equal forms would fail here anyway, since
     distinct elements of an acyclic order have distinct up-sets."""
-    thresholds = _threshold_masks(poset)
+    thresholds, full = _threshold_masks(poset), (1 << poset.size) - 1
     for a, va in enumerate(poset.vectors):
         deadline.poll()
-        above = poset._full
+        above = full
         for k, x in enumerate(va):
             above &= thresholds[k][x]
         differ = above ^ poset._up0(a)
@@ -175,8 +175,7 @@ def _unbounded_pair(poset: ChutePoset):
     """Two move-minimal or two move-maximal elements, or None.  Moves are
     acyclic (``ChutePoset.__init__`` checks that each raises the Lehmer
     total), so one source and one sink are a bottom and a top."""
-    for strict in (poset._down, poset._moves_up):
-        ends = [k for k, mask in enumerate(strict) if not mask]
+    for ends in poset._ends():
         if len(ends) != 1:
             return tuple(ends[:2])
     return None
@@ -185,9 +184,7 @@ def _unbounded_pair(poset: ChutePoset):
 def _forks(poset: ChutePoset, g: int, up: bool):
     """The forks at g: the pairs of its upper covers (with ``up``) or of
     its lower covers, in cover order."""
-    if up:
-        return combinations([j for _mv, j in poset.covers_up_idx(g)], 2)
-    return combinations(poset.covers_down_idx(g), 2)
+    return combinations((poset.covers_up_idx if up else poset.covers_down_idx)(g), 2)
 
 
 def _fork_bounds(poset: ChutePoset, deadline: Deadline, up: bool) -> array:
@@ -273,10 +270,7 @@ def _kappa_certificate(poset: ChutePoset, deadline: Deadline, meet_side: bool):
     theorem needs a lattice, so ``_lattice_certificate`` runs first."""
     order = poset._order
     for j in range(poset.size):
-        if meet_side:
-            covers = poset.covers_down_idx(j)
-        else:
-            covers = [c for _mv, c in poset.covers_up_idx(j)]
+        covers = poset.covers_down_idx(j) if meet_side else poset.covers_up_idx(j)
         if len(covers) != 1:
             continue
         deadline.poll()
@@ -314,7 +308,7 @@ def _buckets_have_extreme(poset, deadline, meet_side: bool):
         if meet_side:
             cover_keys = set(poset.covers_down_idx(fixed))
         else:
-            cover_keys = {j for _mv, j in poset.covers_up_idx(fixed)}
+            cover_keys = set(poset.covers_up_idx(fixed))
         for key, bucket in buckets.items():
             # the bucket's candidate extreme is its last (first) element in
             # the linear extension; it is the extreme iff it dominates all
@@ -414,7 +408,7 @@ def _cover_certificate(poset: ChutePoset, other: ChutePoset, image: list, deadli
     covers are the lower covers of a's image."""
     for a in range(poset.size):
         deadline.poll()
-        ups = {image[j] for _mv, j in poset.covers_up_idx(a)}
+        ups = {image[j] for j in poset.covers_up_idx(a)}
         differ = ups ^ set(other.covers_down_idx(image[a]))
         if differ:
             b = min(k for k, t in enumerate(image) if t in differ)
@@ -504,13 +498,14 @@ def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
         return stop(bottom)
     slots = _lehmer_slots(w.inverse())
     route, read, scan, poll = route_crosses, _crossing_vector, inverse_move_scan, deadline.poll
-    vectors = []
-    for a, (image, row) in enumerate(zip(images, poset._moves_up)):
+    vectors, starts, targets = [], poset._starts, poset._targets
+    for a, image in enumerate(images):
         poll()
         pipes = route(n, image)[1]
         vector = read(pipes, slots)
         if vector is None or (
-            {image ^ flip for _mv, flip in scan(n, image, pipes)} != {images[j] for _mv, j in row}
+            {image ^ flip for _mv, flip in scan(n, image, pipes)}
+            != {images[j] for j in targets[starts[a]:starts[a + 1]]}
         ):
             return stop(a)
         vectors.append(vector)
@@ -520,9 +515,8 @@ def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
             return stop(a)
         seen.add(vector)
     totals = [sum(v) for v in vectors]
-    for a, row in enumerate(poset._moves_up):
-        total = totals[a]
-        for _mv, j in row:
+    for a, total in enumerate(totals):
+        for j in targets[starts[a]:starts[a + 1]]:
             if totals[j] >= total:
                 return stop(a)
     return vectors, None

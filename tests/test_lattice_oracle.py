@@ -35,7 +35,7 @@ import random
 
 import pytest
 
-from chutelat import tableaux, verify
+from chutelat import chute, tableaux, verify
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
 from chutelat.pipedream import PipeDream, transpose
@@ -74,20 +74,20 @@ class OraclePoset(ChutePoset):
         self._rank = self._order = tuple(range(size))
         up = [0] * size
         for k in reversed(order):
-            for _mv, j in self._moves_up[k]:
+            for _mv, j in self.moves_up_idx(k):
                 up[k] |= (1 << j) | up[j]
         down = [0] * size
         for k in order:
-            for _mv, j in self._moves_up[k]:
+            for _mv, j in self.moves_up_idx(k):
                 down[j] |= (1 << k) | down[k]
         self._up = tuple(up)
         self._down = tuple(down)
         covers_up = []
         covers_down = [[] for _ in range(size)]
         for k in range(size):
-            row = tuple((mv, j) for (mv, j) in self._moves_up[k] if up[k] & down[j] == 0)
+            row = tuple(j for _mv, j in self.moves_up_idx(k) if up[k] & down[j] == 0)
             covers_up.append(row)
-            for _mv, j in row:
+            for j in row:
                 covers_down[j].append(k)
         self._covers_up = tuple(covers_up)
         self._covers_down = tuple(tuple(sorted(c)) for c in covers_down)
@@ -103,16 +103,15 @@ class OraclePoset(ChutePoset):
 
     def min_element(self):
         indeg = [0] * self.size
-        for row in self._moves_up:
-            for _mv, j in row:
-                indeg[j] += 1
+        for j in self._targets:
+            indeg[j] += 1
         sources = [k for k in range(self.size) if indeg[k] == 0]
         if len(sources) != 1:
             raise TheoremViolation(
                 f"{len(sources)} move-minimal elements",
                 witness={"sources": [self.elements[k].to_json() for k in sources]},
             )
-        if self._up0(sources[0]) != self._full:
+        if self._up0(sources[0]) != (1 << self.size) - 1:
             raise TheoremViolation(
                 "unique source is not a minimum",
                 witness={"source": self.elements[sources[0]].to_json()},
@@ -182,7 +181,7 @@ def _oracle_buckets(poset, meet_side):
         if meet_side:
             cover_keys = set(poset.covers_down_idx(fixed))
         else:
-            cover_keys = {j for _mv, j in poset.covers_up_idx(fixed)}
+            cover_keys = set(poset.covers_up_idx(fixed))
         for key, members in buckets.items():
             if meet_side:
                 ext = max(members, key=lambda g: rank[g])
@@ -221,7 +220,7 @@ def oracle_lattice(poset, deadline):
             poset.join_idx(a, b)
     # the bounded-fork replay, which the all-pairs search above subsumes
     for g0 in range(poset.size):
-        ups = [j for _mv, j in poset.covers_up_idx(g0)]
+        ups = list(poset.covers_up_idx(g0))
         for x, y in itertools.combinations(ups, 2):
             poset.join_idx(x, y)
     return None
@@ -253,7 +252,7 @@ def oracle_classify_polygon(iv: Interval) -> PolygonType:
             if len(chains) > 2:
                 return PolygonType.NOT_A_POLYGON
             continue
-        for _mv, j in poset.covers_up_idx(v):
+        for j in poset.covers_up_idx(v):
             if (iv.mask >> rank[j]) & 1:
                 stack.append((j, path + (j,)))
     if len(chains) != 2:
@@ -286,7 +285,7 @@ def oracle_polygonal(poset, deadline):
 
     fine = (PolygonType.DIAMOND, PolygonType.PENTAGON)
     for g0 in range(poset.size):
-        ups = [j for _mv, j in poset.covers_up_idx(g0)]
+        ups = list(poset.covers_up_idx(g0))
         for x, y in itertools.combinations(ups, 2):
             top = poset.join_idx(x, y)
             verdict = oracle_classify_polygon(poset.interval_idx(g0, top))
@@ -463,36 +462,72 @@ def test_rank_bitsets_match_oracle_on_sampled_n7(monkeypatch):
         assert got == want, w
 
 
-def eager_closures(poset):
-    """The strict up- and down-sets in rank layout, by the two passes
-    ``ChutePoset.__init__`` ran before its one down-set pass read the
-    cover rows as well."""
-    rank, order = poset._rank, poset._order
-    up = [0] * poset.size
-    for k in reversed(order):
-        m = 0
-        for _mv, j in poset._moves_up[k]:
-            m |= (1 << rank[j]) | up[j]
-        up[k] = m
-    down = [0] * poset.size
-    for k in order:
-        bit = 1 << rank[k]
-        for _mv, j in poset._moves_up[k]:
-            down[j] |= bit | down[k]
-    return tuple(up), tuple(down)
+class PairRowStore:
+    """The move and cover rows as ``ChutePoset`` stored them before its
+    CSR rows: one row of (move, target) pairs per element, and the rank
+    order, strict down-sets and cover rows of the one eager pass that
+    ``__init__`` ran, each cover row being its pair row less the moves
+    that skip an element."""
+
+    def __init__(self, vectors, moves_up):
+        size = len(moves_up)
+        totals = [sum(v) for v in vectors]
+        order = sorted(range(size), key=lambda k: (totals[k], k))
+        rank = [0] * size
+        for r, k in enumerate(order):
+            rank[k] = r
+        down = [0] * size
+        ends = [0] * size
+        covers = list(moves_up)
+        for r, k in enumerate(order):
+            below, bits = down[k], ends[k]
+            for s in _bits(below & bits):
+                c = order[s]
+                covers[c] = tuple(e for e in covers[c] if e[1] != k)
+            down[k] = m = below | bits
+            for _mv, j in moves_up[k]:
+                down[j] |= m
+                ends[j] |= 1 << r
+        self._moves_up = tuple(moves_up)
+        self._order, self._rank = tuple(order), tuple(rank)
+        self._down, self._covers_up = tuple(down), tuple(covers)
+
+    def up(self):
+        """The strict up-sets in rank layout, by the pass over move rows
+        that ``ChutePoset`` ran before it read them off the cover rows."""
+        rank, up = self._rank, [0] * len(self._order)
+        for k in reversed(self._order):
+            m = 0
+            for _mv, j in self._moves_up[k]:
+                m |= (1 << rank[j]) | up[j]
+            up[k] = m
+        return tuple(up)
 
 
-def assert_covers_and_closures_agree(fast):
-    """Cover rows against the oracle's ``up[k] & down[j]`` rule, a row
-    that drops no move stored as the move row itself, and the closures
-    against the eager passes; returns the number of non-cover moves."""
+def found_pair_rows(poset):
+    """Each element's moves by ``find_moves``, each with the index of the
+    dream ``apply`` takes it to: the rows the build stored as pairs."""
+    index = {d: k for k, d in enumerate(poset.elements)}
+    return tuple(
+        tuple((mv, index[chute.apply(d, mv)]) for mv in chute.find_moves(d))
+        for d in poset.elements
+    )
+
+
+def assert_covers_and_closures_agree(fast, pair_rows):
+    """The CSR rows against ``pair_rows``; the rank order, down-sets and
+    cover rows against ``PairRowStore``'s eager pass and the oracle's
+    ``up[k] & down[j]`` rule; the up-sets against the pass over move rows.
+    Returns the number of non-cover moves."""
+    old = PairRowStore(fast.vectors, pair_rows)
+    assert tuple(fast.moves_up_idx(k) for k in range(fast.size)) == old._moves_up
+    assert (fast._order, fast._rank, fast._down) == (old._order, old._rank, old._down)
+    assert fast._covers_up == tuple(tuple(j for _mv, j in row) for row in old._covers_up)
     oracle = OraclePoset(fast)
     assert fast._covers_up == oracle._covers_up
     assert fast._covers_down == oracle._covers_down
-    for covers, moves in zip(fast._covers_up, fast._moves_up):
-        assert (covers is moves) == (len(covers) == len(moves))
-    assert (fast._up, fast._down) == eager_closures(fast)
-    return sum(map(len, fast._moves_up)) - sum(map(len, fast._covers_up))
+    assert fast._up == old.up()
+    return len(fast._targets) - sum(map(len, fast._covers_up))
 
 
 def test_cover_rows_and_closures_match_the_eager_rule():
@@ -500,7 +535,8 @@ def test_cover_rows_and_closures_match_the_eager_rule():
     perms = [Permutation(w) for w in words] + sampled_n7()
     perms += [Permutation.parse("1327654"), Permutation.parse("12438765")]
     for w in perms:
-        assert assert_covers_and_closures_agree(cached_poset(w)) == 0, w
+        fast = cached_poset(w)
+        assert assert_covers_and_closures_agree(fast, found_pair_rows(fast)) == 0, w
 
 
 def test_cover_rows_and_closures_match_the_eager_rule_on_random_move_graphs():
@@ -516,13 +552,14 @@ def test_cover_rows_and_closures_match_the_eager_rule_on_random_move_graphs():
         targets = [
             [j for j, t in enumerate(totals) if t > s and rng.random() < 0.35] for s in totals
         ]
-        skipped = assert_covers_and_closures_agree(hand_built_361542(picks, targets))
+        pair_rows = tuple(tuple((None, j) for j in row) for row in targets)
+        skipped = assert_covers_and_closures_agree(hand_built_361542(picks, targets), pair_rows)
         skipping += skipped > 0
     assert skipping >= 20
 
 
 def _drop_edge(poset, k, i):
-    moves = list(poset._moves_up)
+    moves = [poset.moves_up_idx(k) for k in range(poset.size)]
     moves[k] = moves[k][:i] + moves[k][i + 1:]
     return ChutePoset(poset.w, poset.elements, poset.vectors, tuple(moves))
 
@@ -539,7 +576,7 @@ def test_dropped_move_edge_fails_alike_on_both_routes(monkeypatch):
         w = Permutation.parse(word)
         real = cached_poset(w)
         for k in range(real.size):
-            for i in range(len(real._moves_up[k])):
+            for i in range(len(real.moves_up_idx(k))):
                 broken = _drop_edge(real, k, i)
                 got, want = reports(monkeypatch, w, {w: broken})
                 assert got == want, (word, k, i)
@@ -958,7 +995,7 @@ def test_transpose_certificate_stops_where_each_test_fails(monkeypatch):
     read = verify._crossing_vector
     totals = [sum(v) for v in verify._inverse_move_certificate(poset, verify.Deadline(None))[0]]
     repeat = next(a for a in range(poset.size) if totals[a] in totals[:a])
-    first_move = next(a for a in range(poset.size) if poset._moves_up[a])
+    first_move = next(a for a in range(poset.size) if poset.moves_up_idx(a))
     bottom = poset.idx(poset.min_element())
     assert len({0, bottom, repeat, first_move}) == 4
 
@@ -1002,7 +1039,7 @@ def _fork_spans(poset):
     and from the meet of two of its lower covers to it."""
     spans = []
     for g in range(poset.size):
-        ups = [j for _mv, j in poset.covers_up_idx(g)]
+        ups = list(poset.covers_up_idx(g))
         spans += [(g, poset.join_idx(x, y)) for x, y in itertools.combinations(ups, 2)]
         downs = poset.covers_down_idx(g)
         spans += [(poset.meet_idx(x, y), g) for x, y in itertools.combinations(downs, 2)]
@@ -1204,7 +1241,7 @@ def test_failed_certificate_with_passing_sweep_reports_refutation(monkeypatch):
         }]
         # with cover edges of the inverse fiber that contradict its order
         # as well, the failure path reports its own cover-edge refutation
-        b = min(j for _mv, j in poset.covers_up_idx(a))
+        b = min(poset.covers_up_idx(a))
         m.setattr(cached_poset(w.inverse()), "covers_down_idx", lambda k: ())
         assert run("transpose") == [
             pair(a, b, "cover-edge criterion disagrees with the order pass")]

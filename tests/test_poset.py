@@ -11,10 +11,18 @@ from chutelat import pipedream as pipedream_module
 from chutelat import poset as poset_module
 from chutelat import schubert as schubert_module
 from chutelat import verify as verify_module
-from chutelat.chute import check_increment_correspondence
+from chutelat.chute import ChuteMove, check_increment_correspondence
 from chutelat.errors import Incomparable, TheoremViolation
 from chutelat.perm import Permutation
-from chutelat.pipedream import CROSS, PipeDream, _cross_mask, route_crosses, theta, trace
+from chutelat.pipedream import (
+    CROSS,
+    PipeDream,
+    _cross_mask,
+    phi_vector,
+    route_crosses,
+    theta,
+    trace,
+)
 from chutelat.poset import (
     ChutePoset,
     PolygonType,
@@ -163,6 +171,17 @@ def test_short_intervals_are_not_polygons():
     assert classify_polygon(p.interval_idx(2, 0)).value == "not_a_polygon"  # 3-chain
 
 
+def move_targets(p, k):
+    return tuple(j for _mv, j in p.moves_up_idx(k))
+
+
+def cover_moves(p):
+    """The move of each cover edge (k, j), read off the move rows."""
+    return {
+        (k, j): mv for k in range(p.size) for mv, j in p.moves_up_idx(k) if j in p.covers_up_idx(k)
+    }
+
+
 def test_pentagon_1432_frozen():
     p = cached_poset(Permutation.parse("1432"))
     assert [d.rows for d in p.elements] == [
@@ -176,9 +195,7 @@ def test_pentagon_1432_frozen():
     iv = p.interval_idx(4, 0)
     assert iv.size == 5
     assert classify_polygon(iv) is PolygonType.PENTAGON
-    covers = {
-        (k, j): mv for k in range(p.size) for mv, j in p.covers_up_idx(k)
-    }
+    covers = cover_moves(p)
     assert set(covers) == {(1, 0), (2, 0), (3, 1), (4, 2), (4, 3)}
     incomparable = {
         (a, b)
@@ -192,7 +209,7 @@ def test_pentagon_1432_frozen():
 def test_pentagon_chains_balance_increments():
     # both maximal chains apply the same multiset of box increments
     p = cached_poset(Permutation.parse("1432"))
-    covers = {(k, j): mv for k in range(p.size) for mv, j in p.covers_up_idx(k)}
+    covers = cover_moves(p)
 
     def chain_boxes(chain):
         out = Counter()
@@ -236,7 +253,7 @@ def test_single_moves_all_covers_recorded():
             assert single_moves_all_covers(cached_poset(w))
     mid = cached_poset(Permutation.parse("1327654"))
     assert single_moves_all_covers(mid)
-    assert all(mid.covers_up_idx(k) is mid._moves_up[k] for k in range(mid.size))
+    assert all(mid.covers_up_idx(k) == move_targets(mid, k) for k in range(mid.size))
 
 
 def hand_built_361542(totals, targets):
@@ -262,38 +279,103 @@ def hand_built_361542(totals, targets):
 def test_single_moves_all_covers_false_on_a_skipping_move():
     # the chain 0 -> 1 -> 2 plus the move 0 -> 2 that skips the middle
     skipping = hand_built_361542((0, 1, 2), ((1, 2), (2,), ()))
-    assert skipping.covers_up_idx(0) == ((None, 1),)
-    assert all(skipping.covers_up_idx(k) is skipping._moves_up[k] for k in (1, 2))
+    assert skipping.covers_up_idx(0) == (1,)
+    assert all(skipping.covers_up_idx(k) == move_targets(skipping, k) for k in (1, 2))
     assert not single_moves_all_covers(skipping)
     # two three-step chains from bottom to top: every move is a cover
     hexagon = hand_built_361542((0, 1, 1, 2, 2, 3), ((1, 2), (3,), (4,), (5,), (5,), ()))
     assert single_moves_all_covers(hexagon)
-    assert all(hexagon.covers_up_idx(k) is hexagon._moves_up[k] for k in range(6))
+    assert all(hexagon.covers_up_idx(k) == move_targets(hexagon, k) for k in range(6))
+
+
+def test_dot_draws_only_the_cover_edges_each_with_its_move():
+    # the chain 0 -> 1 -> 2 plus the skipping move 0 -> 2: the DOT reads
+    # each cover's label through the move rows and leaves the skip out
+    chain = hand_built_361542((0, 1, 2), ((1, 2), (2,), ()))
+    moves = [ChuteMove(1, 2, 1, 2, 1, 2), ChuteMove(1, 3, 1, 2, 1, 3), ChuteMove(2, 3, 1, 2, 2, 3)]
+    rows = (((moves[0], 1), (moves[1], 2)), ((moves[2], 2),), ())
+    skipping = ChutePoset(chain.w, chain.elements, chain.vectors, rows)
+    edges = [line for line in to_dot(skipping).splitlines() if " -> " in line]
+    assert edges == ['  0 -> 1 [label="(1,2)"];', '  1 -> 2 [label="(2,3)"];']
 
 
 def test_digest_builds_no_up_set_and_verify_builds_each_once(capsys, monkeypatch):
-    # listing, DOT and the cover count read the down-set pass alone; the
-    # up-sets, the element index and the lower cover rows wait for a
-    # query, and a verify run asks for the up-sets and lower covers once
+    # the listing, the count, the Schubert sum and info read the elements
+    # alone, so the poset keeps its flat store and makes nothing; the DOT
+    # reads the cover rows, so it runs the down-set pass but makes no
+    # up-set; a verify run makes the pass, the vector tuples, the up-sets
+    # and the lower cover rows once each
     w = Permutation.parse("1327654")
     cached_poset.cache_clear()
     poset = cached_poset(w)
-    assert cli_module.main(["enumerate", str(w), "--json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == poset.size == 660
-    assert to_dot(poset).count(" -> ") == sum(map(len, poset._moves_up))
+    for argv in (["enumerate", str(w), "--json"], ["enumerate", str(w), "--count"],
+                 ["schubert", str(w)], ["info", str(w)]):
+        assert cli_module.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out.splitlines()[0])) == poset.size == 660
+    lazy = {"_down", "_covers_up", "_order", "_rank", "vectors", "_up", "_covers_down", "index"}
+    assert not lazy & set(vars(poset))
+    assert to_dot(poset).count(" -> ") == len(poset._targets)
     assert single_moves_all_covers(poset)
-    lazy = ("_up", "index", "_covers_down")
-    assert not set(lazy) & set(vars(poset))
-    built = []
+    assert lazy & set(vars(poset)) == {"_down", "_covers_up", "_order", "_rank"}
+    made = []
 
     def counting(name, make):
-        return lambda p: built.append(name) or make(p)
+        return lambda p: made.append(name) or make(p)
 
-    for name in lazy:
-        prop = ChutePoset.__dict__[name]
-        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    makers = {d.make for d in vars(ChutePoset).values() if isinstance(d, poset_module._Lazy)}
+    for name in makers:
+        monkeypatch.setattr(ChutePoset, name, counting(name, getattr(ChutePoset, name)))
+    cached_poset.cache_clear()
     assert verify_module.run_checks(w).passed
-    assert sorted(built) == ["_covers_down", "_up"]
+    assert sorted(made) == ["_closure_pass", "_make_covers_down", "_make_up", "_make_vectors"]
+
+
+def test_lazy_fields_are_plain_attributes_once_made():
+    # a lazy field, once made, is an instance attribute that later reads
+    # find, and the fields made with it are stored too; the class defines
+    # no __getattr__, so a name that is no field still raises
+    poset = enumerate_poset(Permutation.parse("1432"))
+    assert "vectors" not in vars(poset)
+    assert poset.vectors is vars(poset)["vectors"] is poset.vectors
+    assert "_rank" not in vars(poset)
+    poset._down
+    assert {"_order", "_rank", "_down", "_covers_up"} <= set(vars(poset))
+    assert "__getattr__" not in vars(ChutePoset)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_field'"):
+        poset.no_such_field
+    assert not hasattr(poset, "_moves_up")
+
+
+def test_lazy_vectors_equal_the_vectors_the_build_read(monkeypatch):
+    # the build reads each vector off its routing and stores it in the flat
+    # array; unpacked on first read, they are the ones it read, element by
+    # element, and a hand-built poset gives back the vectors it was handed
+    w = Permutation.parse("12438765")
+    read, read_vector = [], poset_module._crossing_vector
+    monkeypatch.setattr(
+        poset_module, "_crossing_vector",
+        lambda pipes, slots: read.append(read_vector(pipes, slots)) or read[-1],
+    )
+    built = enumerate_poset(w)
+    assert sorted(built.vectors) == sorted(read) and len(read) == built.size
+    assert built.vectors == tuple(phi_vector(d, w) for d in built.elements)
+    rows = [built.moves_up_idx(k) for k in range(built.size)]
+    again = ChutePoset(w, built.elements, built.vectors, rows)
+    assert again.vectors == built.vectors
+    assert again._flat == built._flat
+
+
+def test_move_that_lowers_the_lehmer_total_is_a_violation():
+    # the move rows are checked against the Lehmer totals: the first move,
+    # in canonical order, that does not raise the total is the witness
+    w = Permutation.parse("1432")
+    real = cached_poset(w)
+    rows = [real.moves_up_idx(k) for k in range(real.size)]
+    a, (mv, b) = next((k, row[0]) for k, row in enumerate(rows) if row)
+    rows[b] = rows[b] + ((mv, a),)
+    with pytest.raises(TheoremViolation, match="a move failed to raise the Lehmer total") as exc:
+        ChutePoset(w, real.elements, real.vectors, rows)
+    assert exc.value.witness == {"from": real.elements[b].to_json(), "to": real.elements[a].to_json()}
 
 
 def test_idx_and_duplicate_elements_raise_value_error():
@@ -367,7 +449,7 @@ def test_build_traces_each_element_once(monkeypatch):
     assert all(a is b for a, b in zip(read, routed_pipes))
     routed.clear()
     trace.cache_clear()
-    ChutePoset(w, built.elements, built.vectors, built._moves_up)
+    ChutePoset(w, built.elements, built.vectors, [built.moves_up_idx(k) for k in range(built.size)])
     info = trace.cache_info()
     assert info.hits + info.misses == 0
     assert routed == []

@@ -187,3 +187,17 @@ def test_degree_equals_length():
         p = schubert_oracle(w)
         degrees = {sum(exps) for exps, _c in p.terms} or {0}
         assert degrees == {w.length()}
+
+
+def test_oracle_memo_is_bounded_and_holds_all_of_s6():
+    # the memo is bounded, yet a pass over S_6 computes each word once:
+    # the recursion only reaches words of S_6, and all 720 fit, so a
+    # second pass computes nothing
+    perms = [Permutation(word) for word in itertools.permutations(range(1, 7))]
+    schubert._oracle_by_word.cache_clear()
+    for _ in range(2):
+        for w in perms:
+            schubert_oracle(w)
+        info = schubert._oracle_by_word.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 720
+        assert info.misses == info.currsize == 720
