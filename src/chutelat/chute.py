@@ -21,10 +21,10 @@ rows strictly between are all crosses on l..r and the bottom row is not,
 so the bottom b can only be the first row below t whose span l..r is not
 all crosses.  Each cross therefore yields at most one move, and what is
 left to test is that row b reads B C...C B/E.  Inverse moves are found
-the same way from the southwest cross (b, l): r is the nearest non-cross
-to its right, and the top is the first row above whose span is not all
-crosses, which must read B C...C B.  A scan tests at most n row spans
-per cross, where the rectangle search tested O(n^4) rectangles box by box.
+from a run of southwest crosses (b, l), which share r, the non-cross
+after the run: one climb finds the top, the one row above whose span is
+not all crosses, which must read B C...C B.  A scan tests at most n row
+spans per cross, where the rectangle search tested O(n^4) rectangles.
 
 ``move_scan`` and ``inverse_move_scan`` run on a dream's cross mask (see
 ``pipedream.route_crosses``), one int per row, so a span test is one AND
@@ -165,14 +165,19 @@ def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[tuple, int]]
     """The moves that produce the dream of size n with cross mask ``mask``
     and pipe pairs ``pipes`` by bit (see ``pipedream.route_crosses``),
     unsorted, as keys, each with the two bits that undoing it flips: its
-    southwest cross and its northeast bump.  One scan per southwest
-    cross; the pipe pair is read off the bit of the southwest corner,
-    where the moved crossing now sits.
+    southwest cross and its northeast bump.  The pipe pair is read off the
+    bit of the southwest corner, where the moved crossing now sits.
 
-    Each row is read run by run: every cross l of a run of crosses shares
-    the run's r, the first non-cross after it (a row ends in an elbow, so
-    r stays in the row), and columns l..r of every row above lie inside
-    the staircase."""
+    One climb per run of crosses, and at most one move.  Let a run of row
+    b take columns lo..r - 1, r the first non-cross after it (a row ends
+    in an elbow, so r stays in the row, and columns l..r of every row
+    above lie in the staircase).  Every candidate l shares r.  Climb the
+    rows t above b, p the nearest non-cross left of r in row t.  If (t, r)
+    is a cross, a candidate l <= p stops at row t, which cannot read
+    B C...C B with a cross at r: only l > p go on, so lo rises past p.
+    Else row t is the top of every candidate left, and reads B C...C B
+    on l..r only at l = p: one move if p >= lo, as the rows between are
+    then crosses on p..r, and else none."""
     offsets = _layout(n)[0]
     rows = _row_ints(n, mask)
     out = []
@@ -181,19 +186,22 @@ def inverse_move_scan(n: int, mask: int, pipes: list) -> list[tuple[tuple, int]]
         at = offsets[b]
         while row:
             low = row & -row
+            lo = low.bit_length()
             # adding the run's lowest bit clears the run and carries into r
             r = ((row + low) & ~row).bit_length()
             east = 1 << (r - 1)
-            for l in range(low.bit_length(), r):
-                west = 1 << (l - 1)
-                full = (east << 1) - west
-                t = b - 1
-                while t and rows[t] & full == full:
-                    t -= 1
-                # the top row reads B C...C B on columns l..r
-                if t and rows[t] & full == full - west - east:
-                    flip = (west << at) | (east << offsets[t])
-                    out.append(((t, b, l, r, pipes[at + l - 1]), flip))
+            t = b - 1
+            while t and lo < r:
+                above = rows[t]
+                p = (~above & (east - 1)).bit_length()
+                if not above & east:
+                    if p >= lo:
+                        flip = (1 << (p - 1 + at)) | (east << offsets[t])
+                        out.append(((t, b, p, r, pipes[at + p - 1]), flip))
+                    break
+                if p >= lo:
+                    lo = p + 1
+                t -= 1
             row &= row + low
     return out
 

@@ -78,7 +78,12 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("--count and --json are mutually exclusive")
     poset = cached_poset(w)
     if args.json:
-        print(json.dumps([d.to_json() for d in poset.elements], separators=(",", ":")))
+        # streamed, the bytes of one compact dump; no fiber is empty
+        encode, sep = json.JSONEncoder(separators=(",", ":")).encode, "["
+        for d in poset.elements:
+            sys.stdout.write(sep + encode(d.to_json()))
+            sep = ","
+        print("]")
     else:
         print(poset.size)
     return 0

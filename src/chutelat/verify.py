@@ -26,7 +26,6 @@ from .pipedream import (
     _transpose_mask,
     route_crosses,
     transpose,
-    transpose_rows,
     triforce_embed,
 )
 from .poset import (
@@ -439,10 +438,11 @@ def _reversal_sweep(poset: ChutePoset, other: ChutePoset, image: list, deadline:
 
 def _transpose_image(poset: ChutePoset, other: ChutePoset) -> list[int]:
     """The index in ``other`` of each element's transpose, -1 where the
-    transpose is not there.  Transposes are looked up by their rows, so
-    no dream is built for them."""
-    position = {d.rows: k for k, d in enumerate(other.elements)}
-    return [position.get(transpose_rows(d.rows), -1) for d in poset.elements]
+    transpose is not there.  Transposes are looked up by cross mask, so
+    no dream or row is built for them."""
+    n = poset.w.n
+    position = {m: k for k, m in enumerate(other.cross_masks)}
+    return [position.get(_transpose_mask(n, m), -1) for m in poset.cross_masks]
 
 
 def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
@@ -524,7 +524,7 @@ def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
 
 def _inverse_fiber_check(poset: ChutePoset, deadline: Deadline):
     """The transpose check on the built fiber of w^-1: the images are
-    looked up in it by rows, the anti-isomorphism is certified on cover
+    looked up in it by cross mask, the anti-isomorphism is certified on cover
     edges (``_cover_certificate``) and, if that fails, decided by the
     definitional order pass."""
     other = cached_poset(poset.w.inverse())
@@ -590,10 +590,13 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     inverse permutation, and a pair whose Lehmer forms differ only in the
     last column transposes to a reversed pair differing only in one row.
 
-    The anti-isomorphism is certified on the transposes' inverse moves
-    (``_inverse_move_certificate``), with no fiber of w^-1 built.  If that
-    fails, ``_inverse_fiber_check`` builds the fiber and decides, giving
-    the witness.  The anti-isomorphism maps the common lower bounds of a
+    For an involution, w^-1 = w, so the fiber of w^-1 is the one being
+    checked, already built; ``_inverse_fiber_check`` finds it in the cache
+    and decides directly, so no certificate can be refuted.  Otherwise the anti-isomorphism is certified on
+    the transposes' inverse moves (``_inverse_move_certificate``), which
+    exists only to avoid building the fiber of w^-1.  If that fails,
+    ``_inverse_fiber_check`` builds the fiber and decides, giving the
+    witness.  The anti-isomorphism maps the common lower bounds of a
     and b onto the common upper bounds of their images, the greatest onto
     the least; so meets go to joins, and only their existence is tested.
     That is the dual of the bounded-fork certificate: a bounded poset
@@ -607,6 +610,8 @@ def check_transpose_antiisomorphism(poset: ChutePoset, deadline: Deadline):
     image below a's.  The support is in (column, row) order, so the group
     is the prefix before the last column.
     """
+    if poset.w == poset.w.inverse():
+        return _inverse_fiber_check(poset, deadline)
     vectors, refuted = _inverse_move_certificate(poset, deadline)
     if refuted is not None:
         return _inverse_fiber_check(poset, deadline) or refuted

@@ -40,6 +40,16 @@ def test_enumerate_json_round_trip(capsys):
     assert tuple(dreams) == cached_poset(Permutation.parse("1432")).elements
 
 
+@pytest.mark.parametrize("perm", ["1327654", "12438765"])
+def test_enumerate_json_streams_the_bytes_of_one_dump(capsys, perm):
+    # the listing is written element by element, with no list of dicts
+    # and no whole string, and must match a compact dump of the list
+    code, out, _ = run(capsys, "enumerate", perm, "--json")
+    assert code == 0
+    elements = cached_poset(Permutation.parse(perm)).elements
+    assert out == json.dumps([d.to_json() for d in elements], separators=(",", ":")) + "\n"
+
+
 def test_enumerate_seed_check(capsys):
     # enumerate has no --seed-check; seed_dream has tests of its own
     with pytest.raises(SystemExit) as exc:

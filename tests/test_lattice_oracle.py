@@ -909,7 +909,7 @@ def test_cover_rows_name_fork_spans_like_classify_polygon_on_samples_and_shapes(
 
 
 def test_transpose_check_builds_no_dream(monkeypatch):
-    # images are looked up by their rows; a hand-built fiber that holds
+    # images are looked up by cross mask; a hand-built fiber that holds
     # only some of its own transposes still reports the first element
     # whose transpose left it, as the oracle's dream lookup does
     built = []
@@ -929,6 +929,71 @@ def test_transpose_check_builds_no_dream(monkeypatch):
     got, want = reports(monkeypatch, hexagon.w, {hexagon.w: hexagon}, ("transpose",))
     assert got == want
     assert got["checks"][0]["witness"]["note"] == "transpose left the fiber"
+
+
+def row_transpose_image(poset, other):
+    """The lookup that ``_transpose_image`` replaced: each transpose found
+    in ``other`` by its rows, -1 where it is not there."""
+    from chutelat.pipedream import transpose_rows
+
+    position = {d.rows: k for k, d in enumerate(other.elements)}
+    return [position.get(transpose_rows(d.rows), -1) for d in poset.elements]
+
+
+def test_transpose_image_by_masks_matches_rows():
+    for n in range(1, 7):
+        for word in itertools.permutations(range(1, n + 1)):
+            w = Permutation(word)
+            poset, other = cached_poset(w), cached_poset(w.inverse())
+            image = verify._transpose_image(poset, other)
+            assert image == row_transpose_image(poset, other), w
+            assert sorted(image) == list(range(poset.size)), w
+    # the hexagon holds only some of its own transposes
+    hexagon = hexagon_361542()
+    image = verify._transpose_image(hexagon, hexagon)
+    assert image == row_transpose_image(hexagon, hexagon) and -1 in image
+
+
+def _involutions(n):
+    for word in itertools.permutations(range(1, n + 1)):
+        w = Permutation(word)
+        if w == w.inverse():
+            yield w
+
+
+def test_involution_transpose_reads_its_own_fiber(monkeypatch):
+    # w^-1 = w, so the check decides on the fiber it holds: it routes,
+    # scans and certifies no transpose, and builds no fiber
+    from chutelat import poset as poset_module
+
+    calls = []
+
+    def refuse(name):
+        return lambda *args: calls.append(name)
+
+    ws = [w for n in (4, 5, 6, 7) for w in _involutions(n)]
+    assert len(ws) == 10 + 26 + 76 + 232
+    ws += [Permutation.parse("1327654"), Permutation.parse("13287654")]
+    for w in ws:
+        poset = cached_poset(w)
+        with monkeypatch.context() as m:
+            for name in ("route_crosses", "inverse_move_scan", "_inverse_move_certificate"):
+                m.setattr(verify, name, refuse(name))
+            m.setattr(poset_module, "enumerate_poset", refuse("enumerate_poset"))
+            assert verify.check_transpose_antiisomorphism(poset, verify.Deadline(None)) is None, w
+        assert calls == [], w
+
+
+def test_non_involution_transpose_runs_the_certificate(monkeypatch):
+    w = Permutation.parse("13524")
+    poset = cached_poset(w)
+    assert w != w.inverse()
+    calls = []
+    certify = verify._inverse_move_certificate
+    monkeypatch.setattr(
+        verify, "_inverse_move_certificate", lambda *args: calls.append(0) or certify(*args))
+    assert verify.check_transpose_antiisomorphism(poset, verify.Deadline(None)) is None
+    assert calls == [0]
 
 
 def _transposes_of(poset):

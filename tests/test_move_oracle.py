@@ -10,6 +10,12 @@ order and with the same pipe pairs.
 swaps a move's two corner tiles, the second reads the rectangle's columns
 tile by tile.  Both must give what the mask routes give on every move.
 
+``per_cross_inverse_scan`` is the inverse move scan that
+``inverse_move_scan`` replaced: one climb per southwest cross, where the
+fast scan climbs once per run of crosses.  Both must return the same
+list, in the same order, on every mask of n <= 6, reduced or not, and on
+seeded masks of n = 7..11.
+
 ``two_way_enumerate`` is the undirected search by moves and inverse moves
 that ``enumerate_poset`` used before it searched downward from the top
 dream alone.  Both must build the same poset: the same elements in the
@@ -31,7 +37,7 @@ from chutelat.chute import (
     vertical_pipes,
 )
 from chutelat.perm import Permutation
-from chutelat.pipedream import BUMP, CROSS, ELBOW, PipeDream, theta, trace
+from chutelat.pipedream import BUMP, CROSS, ELBOW, PipeDream, _layout, route_crosses, theta, trace
 from chutelat.poset import (
     ChutePoset,
     brute_force_enumerate,
@@ -173,6 +179,62 @@ def test_apply_undo_and_vertical_pipes_match_tile_oracles():
                 assert inverse_apply(d, mv).rows == swapped_rows(d.rows, mv, undo=True), (d, mv)
     # 12438765 alone has 10,654 move edges
     assert moves > 10_654
+
+
+def per_cross_inverse_scan(n, mask, pipes):
+    """The moves that produce the dream of cross mask ``mask``, one climb
+    per southwest cross (b, l): r is the nearest non-cross to its right,
+    and the top is the first row above whose span l..r is not all
+    crosses, which must read B C...C B."""
+    offsets = _layout(n)[0]
+    rows = chute._row_ints(n, mask)
+    out = []
+    for b in range(2, n):
+        row = rows[b]
+        at = offsets[b]
+        while row:
+            low = row & -row
+            # adding the run's lowest bit clears the run and carries into r
+            r = ((row + low) & ~row).bit_length()
+            east = 1 << (r - 1)
+            for l in range(low.bit_length(), r):
+                west = 1 << (l - 1)
+                full = (east << 1) - west
+                t = b - 1
+                while t and rows[t] & full == full:
+                    t -= 1
+                # the top row reads B C...C B on columns l..r
+                if t and rows[t] & full == full - west - east:
+                    flip = (west << at) | (east << offsets[t])
+                    out.append(((t, b, l, r, pipes[at + l - 1]), flip))
+            row &= row + low
+    return out
+
+
+def assert_inverse_scans_agree(n, mask):
+    pipes = route_crosses(n, mask)[1]
+    assert chute.inverse_move_scan(n, mask, pipes) == per_cross_inverse_scan(n, mask, pipes), (n, mask)
+
+
+def test_run_scan_matches_per_cross_scan_on_every_mask_n2_to_n6():
+    masks = 0
+    for n in range(2, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert_inverse_scans_agree(n, mask)
+            masks += 1
+    assert masks == 33_866
+
+
+def test_run_scan_matches_per_cross_scan_on_seeded_masks_n7_to_n11():
+    rng = random.Random(20261020)
+    for n in range(7, 12):
+        bits = n * (n - 1) // 2
+        for _ in range(300):
+            assert_inverse_scans_agree(n, rng.getrandbits(bits))
+            # dense masks have long runs and tall climbs
+            assert_inverse_scans_agree(n, rng.getrandbits(bits) | rng.getrandbits(bits))
+    for d in cached_poset(Permutation.parse("132549876")).elements[::7]:
+        assert_inverse_scans_agree(9, chute._cross_mask(d.rows)[0])
 
 
 def two_way_enumerate(w: Permutation) -> ChutePoset:
