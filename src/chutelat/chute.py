@@ -29,8 +29,10 @@ spans per cross, where the rectangle search tested O(n^4) rectangles.
 ``move_scan`` and ``inverse_move_scan`` run on a dream's cross mask (see
 ``pipedream.route_crosses``), one int per row, so a span test is one AND
 and a comparison, and read a move's pipe pair off the router's pairs by
-mask bit; ``find_moves`` and ``find_inverse_moves`` sort what they find
-on a ``PipeDream``.  A scan hands back each move's key and the two bits
+mask bit; the build hands them the Lehmer slots ``pipedream._route_read``
+records by bit instead, which name the pairs of a reduced dream of w.
+``find_moves`` and ``find_inverse_moves`` sort what they find on a
+``PipeDream``.  A scan hands back each move's key and the two bits
 the move flips, so ``apply`` and ``inverse_apply`` are scan membership,
 pipe pair included, plus one XOR on the mask.  The tile letters stay
 inside ``pipedream``.

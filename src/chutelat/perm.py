@@ -7,6 +7,7 @@ permutation round-trips through ``str`` and ``Permutation.parse``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +67,9 @@ class Permutation:
         """The order-reversing permutation w0 = n, n-1, ..., 1."""
         return Permutation(tuple(range(n, 0, -1)))
 
+    # every fiber reads its inverse for the seed and for the transpose
+    # check; as with ``inversions``, the bound keeps a sweep small
+    @lru_cache(maxsize=64)
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for pos, val in enumerate(self.word, start=1):
@@ -96,12 +100,20 @@ class Permutation:
         return len(self.inversions())
 
     def lehmer_code(self) -> tuple[int, ...]:
-        """code(i) = #{j > i : word[j] < word[i]}."""
-        w = self.word
-        n = self.n
-        return tuple(
-            sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n)
-        )
+        """code(i) = #{j > i : word[j] < word[i]}, read right to left: the
+        values right of i, kept sorted, below word[i] are the first
+        ``bisect_left`` of them.
+
+        >>> Permutation.parse("361542").lehmer_code()
+        (2, 4, 0, 2, 1, 0)
+        """
+        seen: list[int] = []
+        code = []
+        for v in reversed(self.word):
+            k = bisect_left(seen, v)
+            code.append(k)
+            seen.insert(k, v)
+        return tuple(reversed(code))
 
     def delete_values_above(self, j: int) -> "Permutation":
         """Drop the values j+1..n from the word; the result lives in S_j."""

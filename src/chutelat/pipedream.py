@@ -230,6 +230,61 @@ def _mask_rows(n: int, mask: int) -> tuple[str, ...]:
     return tuple([_row(length, (mask >> at) & bits) for length, at, bits in _layout(n)[3]])
 
 
+def _chunk_tables(n: int, bit) -> tuple:
+    """Per chunk of up to 8 interior columns start + 1 .. start + width of
+    each row r of a cross mask: the chunk's shift in the mask, its width
+    mask, and the table whose entry v is the mask of the bits
+    ``bit(r, c)`` of the columns c on v's set bits.  Chunks keep every
+    table at 256 entries or fewer."""
+    offsets = _layout(n)[0]
+    out = []
+    for r in range(1, n):
+        for start in range(0, n - r, 8):
+            width = min(8, n - r - start)
+            table = [0] * (1 << width)
+            for v in range(1, 1 << width):
+                low = v & -v
+                # the low bit of v stands for column start + low.bit_length()
+                table[v] = table[v ^ low] | 1 << bit(r, start + low.bit_length())
+            out.append((offsets[r] + start, (1 << width) - 1, tuple(table)))
+    return tuple(out)
+
+
+def _map_chunks(tables: tuple, mask: int) -> int:
+    """The mask whose bits the chunks of ``mask`` map to by ``tables``."""
+    out = 0
+    for shift, bits, table in tables:
+        out |= table[(mask >> shift) & bits]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _rows_key_tables(n: int) -> tuple:
+    """``_chunk_tables`` sending column c of row r to bit
+    offsets[r] + n - r - c of ``_rows_key``."""
+    offsets = _layout(n)[0]
+    return _chunk_tables(n, lambda r, c: offsets[r] + n - r - c)
+
+
+def _rows_key(n: int, mask: int) -> int:
+    """An int that orders the dreams of size n by their cross masks as
+    their rows tuples order them.
+
+    Every dream of size n has rows of the same lengths, each ending in
+    its elbow, so two rows tuples first differ at an interior box: in the
+    topmost row that differs, at its leftmost column that differs, one
+    holds B and the other C, and B < C.  Read each row's interior as a
+    binary number, column 1 most significant and C as 1, and put the
+    rows one after another, row 1 most significant.  The fields have
+    fixed widths, so the ints compare as the rows tuples do.  The mask
+    holds row r at ``offsets[r]``, which falls as r grows, so its rows
+    are already in that order; only each row reads backwards, column c
+    of row r at bit offsets[r] + c - 1 where the key has it at
+    offsets[r] + n - r - c, which ``_rows_key_tables`` maps chunk by
+    chunk."""
+    return _map_chunks(_rows_key_tables(n), mask)
+
+
 def route_crosses(n: int, mask: int) -> tuple[list[int], list]:
     """Route the pipes of a dream of size n given by its cross mask: the
     labels by slot after the last cross (``labels[c]`` exits at column c)
@@ -279,8 +334,8 @@ def trace(dream: PipeDream) -> Routing:
 
     The cache holds one dream: every caller that reads a dream more than
     once does so in consecutive calls (the build's seed checks, ``theta``
-    after ``is_reduced``), and the build routes every other element
-    through ``route_crosses`` without it.
+    after ``is_reduced``).  The build traces only its seed and reads
+    every element with ``_route_read``.
     """
     n = dream.n
     mask, elbow = _cross_mask(dream.rows)
@@ -321,52 +376,77 @@ def phi(dream: PipeDream) -> LehmerTableau:
     return lehmer_form(t, t.w)
 
 
-def _lehmer_slots(w: Permutation) -> tuple[dict, tuple[bool, ...], tuple[int, ...]]:
-    """The table ``_crossing_vector`` reads a dream of w with: each
-    inversion (i, j) of w, under both (i, j) and (j, i), mapped to its
-    slot in the Lehmer vector, the (column, row) order of ``_support``;
-    per slot, whether it starts its column; and the row of each mask bit.
-    A build computes it once and reads every element with it."""
-    slot = {}
+@lru_cache(maxsize=64)
+def _read_table(w: Permutation) -> tuple:
+    """What ``_route_read`` reads a dream of w with: per mask bit its west
+    slot and its row (see ``_layout``); the slot in the Lehmer vector,
+    the (column, row) order of ``_support``, of each inversion (i, j) of
+    w at i * (n + 1) + j and at j * (n + 1) + i, and -1 at every other
+    pair; per slot whether it starts its column; and what a read copies
+    to start from, the labels 0..n and a 0 per mask bit.  A build makes
+    it once for w, the transpose check once for w^-1; it is shared, so
+    it holds tuples only."""
+    width = w.n + 1
+    slot = [-1] * (width * width)
     for s, (i, j) in enumerate(_support(w)):
-        slot[i, j] = slot[j, i] = s
-    return slot, _column_starts(w), _layout(w.n)[2]
+        slot[i * width + j] = slot[j * width + i] = s
+    west, rows = _layout(w.n)[1:3]
+    return west, rows, tuple(slot), _column_starts(w), tuple(range(width)), (0,) * len(west)
 
 
-def _crossing_vector(pipes: list, table: tuple) -> tuple[int, ...] | None:
-    """The Lehmer vector of w read off a routing's pipe pairs by bit, with
-    ``table = _lehmer_slots(w)``, or None when a check of
-    ``lehmer_vector`` fails: the crossing pairs must be exactly the
-    inversions of w, one crossing each and no other pair, and the
-    crossing rows distinct within each column.  Each crossing row lands
-    in its pair's slot, and ``tableaux._relabel`` relabels the columns."""
-    slot, starts, bit_rows = table
-    entries = [0] * len(starts)
-    if len(pipes) - pipes.count(None) != len(entries):
+def _route_read(n: int, mask: int, table: tuple) -> tuple[tuple[int, ...], list] | None:
+    """Route the dream of size n with cross mask ``mask`` and read its
+    Lehmer vector for w, with ``table = _read_table(w)``, in one pass:
+    the vector, and per mask bit the slot in it of the pair crossing
+    there (0 at a bump); or None when a check of ``lehmer_vector`` fails.
+
+    The routing is ``route_crosses``'s slot swap, crosses lowest bit
+    first.  The crossing pairs must be exactly the inversions of w, one
+    crossing each and no other pair, so the dream is reduced and wired
+    to w; each crossing row lands in its pair's slot, and
+    ``tableaux._relabel`` relabels the columns, which fails when a
+    crossing row repeats in one.  The count of crosses is tested first,
+    and a pair off the inversions or met twice stops the routing."""
+    west, rows, slot, starts, labels, slots = table
+    if mask.bit_count() != len(starts):
         return None
-    for r, pair in zip(bit_rows, pipes):
-        if pair is not None:
-            s = slot.get(pair)
-            # not an inversion, or an inversion crossing twice
-            if s is None or entries[s]:
-                return None
-            entries[s] = r
-    return _relabel(starts, entries)
+    width = n + 1
+    labels = list(labels)
+    slots = list(slots)
+    entries = [0] * len(starts)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        b = low.bit_length() - 1
+        a = west[b]
+        x = labels[a]
+        y = labels[a + 1]
+        labels[a] = y
+        labels[a + 1] = x
+        s = slot[x * width + y]
+        # not an inversion, or an inversion crossing twice
+        if s < 0 or entries[s]:
+            return None
+        entries[s] = rows[b]
+        slots[b] = s
+    vector = _relabel(starts, entries)
+    return None if vector is None else (vector, slots)
 
 
 def phi_vector(dream: PipeDream, w: Permutation) -> tuple[int, ...]:
-    """``lehmer_vector(theta(dream), w)`` read straight off
-    ``trace(dream)`` by ``_crossing_vector``, with no tableau built.
+    """``lehmer_vector(theta(dream), w)`` read straight off the dream's
+    cross mask by ``_route_read``, with no tableau built.
 
     The sizes must agree as well.  If a check fails,
     ``lehmer_vector(theta(dream), w)`` runs instead, so every error keeps
     its type and message.
     """
-    pipes = trace(dream).pipes
     if dream.n == w.n:
-        vector = _crossing_vector(pipes, _lehmer_slots(w))
-        if vector is not None:
-            return vector
+        mask, elbow = _cross_mask(dream.rows)
+        if elbow is None:
+            read = _route_read(w.n, mask, _read_table(w))
+            if read is not None:
+                return read[0]
     return lehmer_vector(theta(dream), w)
 
 
@@ -382,22 +462,9 @@ def transpose_rows(rows: tuple[str, ...]) -> tuple[str, ...]:
 
 @lru_cache(maxsize=64)
 def _transpose_tables(n: int) -> tuple:
-    """Per chunk of up to 8 interior bits of each row r of a cross mask:
-    the chunk's shift in the mask, its width mask, and the table whose
-    entry v is the mask of the boxes (c, r) reflecting the crosses (r, c)
-    on v's set bits.  Chunks keep every table at 256 entries or fewer."""
+    """``_chunk_tables`` sending box (r, c) to the bit of box (c, r)."""
     offsets = _layout(n)[0]
-    out = []
-    for r in range(1, n):
-        for start in range(0, n - r, 8):
-            width = min(8, n - r - start)
-            table = [0] * (1 << width)
-            for v in range(1, 1 << width):
-                low = v & -v
-                # the low bit of v stands for column start + low.bit_length()
-                table[v] = table[v ^ low] | 1 << (offsets[start + low.bit_length()] + r - 1)
-            out.append((offsets[r] + start, (1 << width) - 1, tuple(table)))
-    return tuple(out)
+    return _chunk_tables(n, lambda r, c: offsets[c] + r - 1)
 
 
 def _transpose_mask(n: int, mask: int) -> int:
@@ -405,10 +472,7 @@ def _transpose_mask(n: int, mask: int) -> int:
     dream of size n with cross mask ``mask``, a table lookup per chunk of
     ``_transpose_tables(n)``; ``_cross_mask(transpose_rows(rows))`` on
     masks."""
-    out = 0
-    for shift, bits, table in _transpose_tables(n):
-        out |= table[(mask >> shift) & bits]
-    return out
+    return _map_chunks(_transpose_tables(n), mask)
 
 
 def transpose(dream: PipeDream) -> "PipeDream":

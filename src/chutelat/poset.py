@@ -20,28 +20,27 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 
 from . import chute
 from .errors import Incomparable, TheoremViolation
 from .perm import Permutation
 from .pipedream import (
-    BUMP,
-    CROSS,
-    ELBOW,
     PipeDream,
     _cross_mask,
-    _crossing_vector,
-    _lehmer_slots,
+    _layout,
+    _read_table,
+    _route_read,
+    _rows_key,
     is_reduced,
     phi,
     phi_vector,
-    route_crosses,
     theta,
     trace,
 )
 from .tableaux import (
     InversionsTableau,
+    _support,
     delta_multiset,
     increment,
     increment_multiset,
@@ -91,15 +90,22 @@ def _csr(rows) -> _Csr:
     return _Csr(starts, targets, move_ids, tuple(ids))
 
 
+def _seed_mask(w: Permutation) -> int:
+    """The cross mask of the seed dream of w: row i holds crosses in
+    columns 1..c(i), c the Lehmer code of the inverse permutation."""
+    offsets = _layout(w.n)[0]
+    mask = 0
+    for i, c in enumerate(w.inverse().lehmer_code(), start=1):
+        mask |= ((1 << c) - 1) << offsets[i]
+    return mask
+
+
 def seed_dream(w: Permutation) -> PipeDream:
     """Left-justified filling: row i holds crosses in columns 1..c(i) where
-    c is the Lehmer code of the inverse permutation.  Under the exit-label
-    wiring convention used here this dream traces to w itself; the caller
-    re-checks that at enumeration time."""
-    code = w.inverse().lehmer_code()
-    return PipeDream(
-        tuple(CROSS * c + BUMP * (w.n - i - c) + ELBOW for i, c in enumerate(code, start=1))
-    )
+    c is the Lehmer code of the inverse permutation (``_seed_mask``).
+    Under the exit-label wiring convention used here this dream traces to
+    w itself; the build re-checks that."""
+    return PipeDream._from_mask(w.n, _seed_mask(w))
 
 
 class _Lazy:
@@ -126,34 +132,38 @@ class ChutePoset:
     Elements sit in a canonical order (undirected distance from the seed
     over move edges, then the serialized grid as tie-break), so indices,
     DOT output, and witnesses are stable across runs.  ``cross_masks[k]``
-    is element k's cross mask, read off its rows when not given.
+    is element k's cross mask, read off its rows when not given; given
+    the masks, ``elements`` may be None, and the dreams are then made
+    from the masks on first read.
 
     The store is flat: element k's moves, in ``chute.find_moves`` order,
     are the CSR row ``_starts[k]:_starts[k + 1]`` of ``_targets`` and of
     ``_move_ids``, indices into ``_moves``; ``moves_up`` gives (move,
     target) rows or a ``_Csr``.  Its Lehmer vector is run k of ``_width``
     entries of ``_flat``, its total ``_totals[k]``.  The rest is made on
-    first read (``_Lazy``): ``vectors``, ``_up``, ``index``,
-    ``_covers_down``, and by one ``_closure_pass`` the rank order, the
-    strict down-sets (bit r for the element of rank r, ``_order[r]``) and
-    the cover rows.
+    first read (``_Lazy``): ``elements``, ``vectors``, ``_ends``, ``_up``,
+    ``index``, ``_covers_down``, and by one ``_closure_pass`` the rank
+    order, the strict down-sets (bit r for the element of rank r,
+    ``_order[r]``) and the cover rows.
     """
 
     def __init__(
         self,
         w: Permutation,
-        elements: tuple[PipeDream, ...],
+        elements: tuple[PipeDream, ...] | None,
         vectors,
         moves_up,
         cross_masks: tuple | None = None,
     ):
         self.w = w
-        self.elements = elements
         if cross_masks is None:
             cross_masks = tuple(_cross_mask(d.rows)[0] for d in elements)
+        if elements is not None:
+            self.elements = elements
         self.cross_masks = cross_masks
-        size = len(elements)
-        if len(set(elements)) != size:
+        size = len(cross_masks)
+        # a dream of size n is its cross mask
+        if len(set(cross_masks)) != size:
             raise ValueError("duplicate elements")
         if len(vectors) != size:
             raise ValueError("need one Lehmer vector per element")
@@ -176,13 +186,27 @@ class ChutePoset:
                 if totals[j] <= total:
                     raise TheoremViolation(
                         "a move failed to raise the Lehmer total",
-                        witness={"from": elements[k].to_json(), "to": elements[j].to_json()},
+                        witness={"from": self.elements[k].to_json(),
+                                 "to": self.elements[j].to_json()},
                     )
         self._flat = array("i", list(chain.from_iterable(vectors)))
         self._width = size and len(self._flat) // size
         # verify's fork tables (joins of up-forks, meets of down-forks)
         self._up_fork_bounds = None
         self._down_fork_bounds = None
+
+    def _make_elements(self) -> None:
+        self.elements = tuple(map(PipeDream._from_mask, repeat(self.w.n), self.cross_masks))
+
+    def _make_ends(self) -> None:
+        """Sources, the elements no move targets, and sinks, the empty
+        move rows."""
+        starts, size = self._starts, self.size
+        targeted = set(self._targets)
+        self._ends = (
+            [k for k in range(size) if k not in targeted],
+            [k for k in range(size) if starts[k] == starts[k + 1]],
+        )
 
     def _closure_pass(self) -> None:
         """Up the ranks, down[k] ORs the strict down-sets of the sources of
@@ -225,7 +249,7 @@ class ChutePoset:
         self._up = tuple(up)
 
     def _make_covers_down(self) -> None:
-        rows = [[] for _ in self.elements]
+        rows = [[] for _ in range(self.size)]
         for k, row in enumerate(self._covers_up):
             for j in row:
                 rows[j].append(k)
@@ -242,6 +266,8 @@ class ChutePoset:
     _rank = _Lazy("_closure_pass")
     _down = _Lazy("_closure_pass")
     _covers_up = _Lazy("_closure_pass")
+    elements = _Lazy("_make_elements")
+    _ends = _Lazy("_make_ends")
     vectors = _Lazy("_make_vectors")
     _up = _Lazy("_make_up")
     _covers_down = _Lazy("_make_covers_down")
@@ -253,7 +279,7 @@ class ChutePoset:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.cross_masks)
 
     def idx(self, p: PipeDream) -> int:
         try:
@@ -295,17 +321,11 @@ class ChutePoset:
     def leq(self, p: PipeDream, q: PipeDream) -> bool:
         return self.leq_idx(self.idx(p), self.idx(q))
 
-    def _ends(self) -> tuple[list[int], list[int]]:
-        """Sources and sinks of the move graph."""
-        starts = self._starts
-        return ([k for k, m in enumerate(self._down) if not m],
-                [k for k in range(self.size) if starts[k] == starts[k + 1]])
-
     def min_element(self) -> PipeDream:
         """The unique source, which is the minimum: ``__init__`` checks that
         every move raises the Lehmer total, so moves are acyclic and every
         element lies above some source."""
-        sources = self._ends()[0]
+        sources = self._ends[0]
         if len(sources) != 1:
             raise TheoremViolation(
                 f"{len(sources)} move-minimal elements",
@@ -315,7 +335,7 @@ class ChutePoset:
 
     def max_element(self) -> PipeDream:
         """The unique sink, which is the maximum by the dual argument."""
-        sinks = self._ends()[1]
+        sinks = self._ends[1]
         if len(sinks) != 1:
             raise TheoremViolation(
                 f"{len(sinks)} move-maximal elements",
@@ -509,20 +529,33 @@ def _undirected_depth(up: list[list]) -> list[int]:
     return depth
 
 
-def _vector_or_violation(w: Permutation, dreams: list, up: list, keys: dict, k: int) -> tuple:
-    """Element k's Lehmer vector by ``phi_vector``, for a dream whose
-    crossing read failed; its ValueError becomes a TheoremViolation with
-    the dream, and the source and move that first reached it
-    (``up[k][:2]``, a key id in ``keys``), as witness."""
+def _move_of(key: tuple, support: tuple) -> chute.ChuteMove:
+    """The move of a build's scan key: its rectangle and, in place of the
+    pipe pair, the pair's slot in ``support``, the inversions of w in
+    Lehmer-vector order.  The move is the one ``chute`` shares."""
+    return chute._shared_move((*key[:4], support[key[4]]))
+
+
+def _read_error(w: Permutation, masks: list, up: list, keys: dict, k: int) -> Exception:
+    """The error for element k, whose mask read failed: the ValueError of
+    ``phi_vector``, which reads through the tableau route when the mask
+    read fails, as a TheoremViolation with the dream, and the source and
+    move that first reached it (``up[k][:2]``, a key id in ``keys``), as
+    witness.  The two routes read the same vectors, so one that reads
+    the dream is a fault of the mask read, a RuntimeError.  Only this
+    path makes dreams in the build."""
+    n = w.n
+    dream = PipeDream._from_mask(n, masks[k])
     try:
-        return phi_vector(dreams[k], w)
+        vector = phi_vector(dream, w)
     except ValueError as exc:
-        witness = {"w": str(w), "dream": dreams[k].to_json()}
+        witness = {"w": str(w), "dream": dream.to_json()}
         if k:
             m, source = up[k][:2]
-            witness["source"] = dreams[source].to_json()
-            witness["move"] = chute._shared_move(list(keys)[m]).to_json()
-        raise TheoremViolation(str(exc), witness=witness) from None
+            witness["source"] = PipeDream._from_mask(n, masks[source]).to_json()
+            witness["move"] = _move_of(list(keys)[m], _support(w)).to_json()
+        return TheoremViolation(str(exc), witness=witness)
+    return RuntimeError(f"the mask read refused a dream of {w} that the tableau route reads as {vector}")
 
 
 def enumerate_poset(w: Permutation) -> ChutePoset:
@@ -533,44 +566,46 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
     every reduced pipe dream of w (Bergeron and Billey, "RC-graphs and
     Schubert polynomials", *Exp. Math.* 2 (1993)).  An inverse move from d
     to e is the move edge e -> d, recorded in e's row.  An element's
-    canonical depth is its undirected distance from the seed over them.
+    canonical depth is its undirected distance from the seed over them,
+    and ties go by ``_rows_key``, the rows order read off the mask.
 
-    Each dream is a cross mask, routed once (the seed by ``trace``), whose
-    pipe pairs by bit give its Lehmer vector (``_crossing_vector``) and
-    its inverse moves (``chute.inverse_move_scan``).  A target is the mask
-    with two bits flipped; only a new one becomes a ``PipeDream``,
-    unchecked.  A failed vector read is raised with its witness (see
-    ``_vector_or_violation``); a seed not wired to w or with an up-move
-    aborts loudly.  The cyclic collector is off for the build: it makes
-    many long-lived objects and no cycles."""
+    Each dream is a cross mask.  The seed's is ``_seed_mask(w)``; its
+    dream, made from the mask unvalidated, goes through ``trace`` and
+    ``chute.find_moves``, and a seed not wired to w or with an up-move
+    aborts loudly.  Every element, the seed too, is then read once by
+    ``_route_read``, which routes it and gives its Lehmer vector and the
+    Lehmer slot of the pair at each cross, and ``chute.inverse_move_scan``
+    keys its inverse moves by those slots.  A target is the mask with two
+    bits flipped.  A failed read is raised with its witness (see
+    ``_read_error``).  No other ``PipeDream`` is made: the poset
+    makes them from the masks on first read.  The cyclic collector is off
+    for the build: it makes many long-lived objects and no cycles."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        seed = seed_dream(w)
-        routing = trace(seed)
+        n = w.n
+        seed = _seed_mask(w)
+        # the one dream the build makes; its checks share one routing
+        top = PipeDream._from_mask(n, seed)
+        routing = trace(top)
         if routing.wiring != w:
             raise RuntimeError(f"seed dream traces to {routing.wiring}, wanted {w}")
-        if chute.find_moves(seed):
+        if chute.find_moves(top):
             raise RuntimeError(f"seed dream of {w} has an up-move, so it is not the top")
-        n = w.n
-        masks = [_cross_mask(seed.rows)[0]]
-        ids = {masks[0]: 0}
-        dreams = [seed]
+        masks = [seed]
+        ids = {seed: 0}
         vectors = []
         up: list[list] = [[]]
         keys: dict = {}
-        slots = _lehmer_slots(w)
-        pipes = routing.pipes
-        route, scan, from_mask = route_crosses, chute.inverse_move_scan, PipeDream._from_mask
+        table = _read_table(w)
+        read, scan = _route_read, chute.inverse_move_scan
         # masks grows while it is walked, which makes it the BFS queue
         for k, mask in enumerate(masks):
-            if k:
-                pipes = route(n, mask)[1]
-            vector = _crossing_vector(pipes, slots)
-            if vector is None:
-                vector = _vector_or_violation(w, dreams, up, keys, k)
-            vectors.append(vector)
-            for key, flip in scan(n, mask, pipes):
+            got = read(n, mask, table)
+            if got is None:
+                raise _read_error(w, masks, up, keys, k)
+            vectors.append(got[0])
+            for key, flip in scan(n, mask, got[1]):
                 # the scan has just found the move, which is all that
                 # chute.inverse_apply checks, so the flip needs no check
                 target = mask ^ flip
@@ -578,17 +613,20 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
                 if j is None:
                     j = ids[target] = len(masks)
                     masks.append(target)
-                    dreams.append(from_mask(n, target))
                     up.append([])
                 up[j] += keys.setdefault(key, len(keys)), k
-        size = len(dreams)
+        size = len(masks)
         depth = _undirected_depth(up)
-        order = sorted(range(size), key=lambda k: (depth[k], dreams[k].rows))
+        # a depth above every rows key: the two compare as (depth, rows)
+        shift = n * (n - 1) // 2
+        sort_keys = [d << shift | _rows_key(n, m) for d, m in zip(depth, masks)]
+        order = sorted(range(size), key=sort_keys.__getitem__)
         canon = [0] * size
         for pos, k in enumerate(order):
             canon[k] = pos
         # each key's place among the moves in move order
-        found = list(map(chute._shared_move, keys))
+        support = _support(w)
+        found = [_move_of(key, support) for key in keys]
         by_order = sorted(range(len(found)), key=lambda m: chute.move_order(found[m]))
         place = {m: pos for pos, m in enumerate(by_order)}
         # sorted by source, move and target: the CSR rows
@@ -601,15 +639,15 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         ])
         return ChutePoset(
             w,
-            tuple(dreams[k] for k in order),
-            [vectors[k] for k in order],
+            None,
+            list(map(vectors.__getitem__, order)),
             _Csr(
                 array("i", accumulate(counts, initial=0)),
                 array("i", [e % size for e in edges]),
                 array("i", [e // size % nm for e in edges]),
-                tuple(found[m] for m in by_order),
+                tuple(map(found.__getitem__, by_order)),
             ),
-            tuple(masks[k] for k in order),
+            tuple(map(masks.__getitem__, order)),
         )
     finally:
         if enabled:

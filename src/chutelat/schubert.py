@@ -6,11 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 from .errors import TheoremViolation
 from .perm import Permutation
-from .pipedream import CROSS
+from .pipedream import _layout
 from .poset import cached_poset
 
 __all__ = [
@@ -188,11 +187,12 @@ def schubert_oracle(w: Permutation) -> IntPolynomial:
 
 def schubert_from_pipedreams(w: Permutation) -> IntPolynomial:
     """One monomial per reduced pipe dream: the exponent of x_r counts the
-    crosses in row r."""
+    crosses in row r, the set bits of the row's run of the cross mask."""
     poset = cached_poset(w)
+    rows = _layout(w.n)[3]
     d: dict = {}
-    for dream in poset.elements:
+    for mask in poset.cross_masks:
         # from_dict trims the zero count of row n
-        key = tuple(map(str.count, dream.rows, repeat(CROSS)))
+        key = tuple([((mask >> at) & bits).bit_count() for _length, at, bits in rows])
         d[key] = d.get(key, 0) + 1
     return IntPolynomial.from_dict(d)

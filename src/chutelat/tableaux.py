@@ -196,8 +196,16 @@ def _check_json_n(t, obj: dict):
 # permutation it visits, and the tuple is immutable, so sharing it is safe
 @lru_cache(maxsize=64)
 def _support(w: Permutation) -> tuple[tuple[int, int], ...]:
-    """The inversion diagram of w in (column, row) order."""
-    return tuple(sorted(w.inversions(), key=lambda b: (b[1], b[0])))
+    """The inversion diagram of w in (column, row) order, read column by
+    column off the positions of the values: (i, j) with i < j is an
+    inversion when i sits right of j."""
+    pos = w.inverse().word
+    return tuple([
+        (i, j)
+        for j, at in enumerate(pos[1:], start=2)
+        for i, p in enumerate(pos[: j - 1], start=1)
+        if p > at
+    ])
 
 
 def _rebuild(t: StairTableau, rows):

@@ -20,11 +20,9 @@ from .perm import Permutation
 # ``transpose`` is no longer called here; perfbench/child.py wraps
 # ``verify.transpose`` by name, so the name stays
 from .pipedream import (
-    _crossing_vector,
-    _layout,
-    _lehmer_slots,
+    _read_table,
+    _route_read,
     _transpose_mask,
-    route_crosses,
     transpose,
     triforce_embed,
 )
@@ -33,6 +31,7 @@ from .poset import (
     Interval,
     PolygonType,
     _bits,
+    _seed_mask,
     cached_poset,
     classify_polygon,
     fork_polygon,
@@ -174,7 +173,7 @@ def _unbounded_pair(poset: ChutePoset):
     """Two move-minimal or two move-maximal elements, or None.  Moves are
     acyclic (``ChutePoset.__init__`` checks that each raises the Lehmer
     total), so one source and one sink are a bottom and a top."""
-    for ends in poset._ends():
+    for ends in poset._ends:
         if len(ends) != 1:
             return tuple(ends[:2])
     return None
@@ -452,14 +451,14 @@ def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
 
     Write T for transposition of cross masks, Q for the fiber of w^-1
     with its move edges, and q0 for the top of Q, the seed dream of w^-1,
-    whose cross mask is read off the Lehmer code of w.  The certificate
-    asks, polling once per image:
+    whose cross mask is ``_seed_mask(w^-1)``.  The certificate asks,
+    polling once per image:
 
     - the poset has one source b, and T(b) = q0;
-    - each image T(a), routed once by ``route_crosses``, has a Lehmer
-      vector by ``_crossing_vector`` with ``_lehmer_slots(w^-1)``: its
-      crossing pairs are the inversions of w^-1, each crossing once, so
-      T(a) is reduced and wired to w^-1, and lies in Q;
+    - each image T(a) has a Lehmer vector by ``_route_read`` with
+      ``_read_table(w^-1)``, which routes it once: its crossing pairs are
+      the inversions of w^-1, each crossing once, so T(a) is reduced and
+      wired to w^-1, and lies in Q;
     - ``inverse_move_scan`` on T(a) finds exactly the dreams T(j), j a
       move target of a: the moves into T(a) in Q are the transposes of
       the moves out of a;
@@ -483,32 +482,28 @@ def _inverse_move_certificate(poset: ChutePoset, deadline: Deadline):
     its size, image and cover tests and go on to the same meet and
     last-column tests with the same vectors."""
     w, n = poset.w, poset.w.n
-    offsets = _layout(n)[0]
-    top = 0
-    for i, c in enumerate(w.lehmer_code(), start=1):
-        top |= ((1 << c) - 1) << offsets[i]
+    inverse = w.inverse()
     images = [_transpose_mask(n, mask) for mask in poset.cross_masks]
 
     def stop(a):
         return None, {"note": "inverse-move criterion disagrees with the inverse fiber",
                       "dream": poset.elements[a].to_json()}
 
-    bottom = poset._down.index(0)
-    if poset._down.count(0) != 1 or images[bottom] != top:
-        return stop(bottom)
-    slots = _lehmer_slots(w.inverse())
-    route, read, scan, poll = route_crosses, _crossing_vector, inverse_move_scan, deadline.poll
+    sources = poset._ends[0]
+    if len(sources) != 1 or images[sources[0]] != _seed_mask(inverse):
+        return stop(sources[0])
+    table = _read_table(inverse)
+    read, scan, poll = _route_read, inverse_move_scan, deadline.poll
     vectors, starts, targets = [], poset._starts, poset._targets
     for a, image in enumerate(images):
         poll()
-        pipes = route(n, image)[1]
-        vector = read(pipes, slots)
-        if vector is None or (
-            {image ^ flip for _mv, flip in scan(n, image, pipes)}
+        got = read(n, image, table)
+        if got is None or (
+            {image ^ flip for _mv, flip in scan(n, image, got[1])}
             != {images[j] for j in targets[starts[a]:starts[a + 1]]}
         ):
             return stop(a)
-        vectors.append(vector)
+        vectors.append(got[0])
     seen = set()
     for a, vector in enumerate(vectors):
         if vector in seen:

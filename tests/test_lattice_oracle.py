@@ -977,7 +977,7 @@ def test_involution_transpose_reads_its_own_fiber(monkeypatch):
     for w in ws:
         poset = cached_poset(w)
         with monkeypatch.context() as m:
-            for name in ("route_crosses", "inverse_move_scan", "_inverse_move_certificate"):
+            for name in ("_route_read", "inverse_move_scan", "_inverse_move_certificate"):
                 m.setattr(verify, name, refuse(name))
             m.setattr(poset_module, "enumerate_poset", refuse("enumerate_poset"))
             assert verify.check_transpose_antiisomorphism(poset, verify.Deadline(None)) is None, w
@@ -1057,7 +1057,7 @@ def test_transpose_certificate_stops_where_each_test_fails(monkeypatch):
     w = Permutation.parse("13524")
     poset = cached_poset(w)
     cached_poset(w.inverse())
-    read = verify._crossing_vector
+    read = verify._route_read
     totals = [sum(v) for v in verify._inverse_move_certificate(poset, verify.Deadline(None))[0]]
     repeat = next(a for a in range(poset.size) if totals[a] in totals[:a])
     first_move = next(a for a in range(poset.size) if poset.moves_up_idx(a))
@@ -1068,11 +1068,17 @@ def test_transpose_certificate_stops_where_each_test_fails(monkeypatch):
         return [{"note": "inverse-move criterion disagrees with the inverse fiber",
                  "dream": poset.elements[a].to_json()}]
 
+    def vectors_made(make):
+        def fake(n, mask, table):
+            vector, slots = read(n, mask, table)
+            return make(vector), slots
+        return fake
+
     for name, fake, stop in (
-        ("_crossing_vector", lambda pipes, slots: None, 0),
-        ("_layout", lambda n: ((0,) * (n + 1),), bottom),
-        ("_crossing_vector", lambda pipes, slots: (sum(read(pipes, slots)),), repeat),
-        ("_crossing_vector", lambda pipes, slots: tuple(-x for x in read(pipes, slots)), first_move),
+        ("_route_read", lambda n, mask, table: None, 0),
+        ("_seed_mask", lambda v: 0, bottom),
+        ("_route_read", vectors_made(lambda v: (sum(v),)), repeat),
+        ("_route_read", vectors_made(lambda v: tuple(-x for x in v)), first_move),
     ):
         with monkeypatch.context() as m:
             m.setattr(verify, name, fake)

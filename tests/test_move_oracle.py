@@ -316,10 +316,11 @@ def test_downward_build_size_matches_schubert_on_seeded_n8():
 
 
 def test_downward_build_constructs_each_element_once(monkeypatch):
-    # inverse moves are deduplicated by mask, so a dream is made only for
-    # an element not reached before: 10,654 move edges but 3003 dreams.
-    # The seed is the one dream validated; the other 3002 are made from
-    # their masks, whose rows are valid by construction
+    # inverse moves are deduplicated by mask, and the build makes one
+    # dream, the seed's, for its checks: 10,654 move edges, 3003 masks, no
+    # dream validated.  The poset makes the 3003 dreams from their masks
+    # on first read, whose rows are valid by construction, and validates
+    # none
     validated, from_masks = [], []
     validate = PipeDream.__post_init__
     from_mask = PipeDream._from_mask
@@ -338,6 +339,10 @@ def test_downward_build_constructs_each_element_once(monkeypatch):
     monkeypatch.setattr(PipeDream, "__post_init__", counting_validate)
     monkeypatch.setattr(PipeDream, "_from_mask", staticmethod(counting_from_mask))
     poset = enumerate_poset(w)
-    assert validated == [seed_rows] and len(from_masks) == 3002
-    assert poset.size == len(validated) + len(from_masks) == 3003
-    assert sorted(validated + from_masks) == sorted(d.rows for d in poset.elements)
+    assert validated == [] and from_masks == [seed_rows]
+    assert len(poset._targets) == 10654
+    assert len(poset.cross_masks) == len(set(poset.cross_masks)) == 3003
+    from_masks.clear()
+    assert poset.size == len(poset.elements) == len(from_masks) == 3003
+    assert validated == [] and poset.elements[0].rows == seed_rows
+    assert sorted(from_masks) == sorted(d.rows for d in poset.elements)

@@ -10,10 +10,15 @@ from collections import Counter
 import pytest
 
 from chutelat import pipedream as pipedream_module
-from chutelat.chute import check_increment_correspondence, find_inverse_moves, find_moves
+from chutelat.chute import (
+    check_increment_correspondence,
+    find_inverse_moves,
+    find_moves,
+    inverse_move_scan,
+)
 from chutelat.errors import TheoremViolation
 from chutelat.perm import Permutation
-from chutelat.poset import cached_poset
+from chutelat.poset import _seed_mask, cached_poset
 from chutelat.pipedream import (
     BUMP,
     CROSS,
@@ -21,8 +26,12 @@ from chutelat.pipedream import (
     PipeDream,
     Routing,
     _cross_mask,
-    _crossing_vector,
-    _lehmer_slots,
+    _layout,
+    _mask_rows,
+    _read_table,
+    _route_read,
+    _rows_key,
+    _transpose_mask,
     is_reduced,
     phi,
     phi_vector,
@@ -33,8 +42,45 @@ from chutelat.pipedream import (
     transpose_rows,
     triforce_embed,
 )
-from chutelat.tableaux import _support, lehmer_vector, restrict
+from chutelat.tableaux import _column_starts, _relabel, _support, lehmer_vector, restrict
 from test_lattice_oracle import sampled_n7
+
+
+# The reader ``_route_read`` replaced, kept as its oracle: the routing's
+# pipe pairs by bit, read against a per-w table of pair tuples.
+
+
+def _lehmer_slots(w: Permutation) -> tuple[dict, tuple[bool, ...], tuple[int, ...]]:
+    """The table ``_crossing_vector`` reads a dream of w with: each
+    inversion (i, j) of w, under both (i, j) and (j, i), mapped to its
+    slot in the Lehmer vector, the (column, row) order of ``_support``;
+    per slot, whether it starts its column; and the row of each mask bit.
+    A build computes it once and reads every element with it."""
+    slot = {}
+    for s, (i, j) in enumerate(_support(w)):
+        slot[i, j] = slot[j, i] = s
+    return slot, _column_starts(w), _layout(w.n)[2]
+
+
+def _crossing_vector(pipes: list, table: tuple) -> tuple[int, ...] | None:
+    """The Lehmer vector of w read off a routing's pipe pairs by bit, with
+    ``table = _lehmer_slots(w)``, or None when a check of
+    ``lehmer_vector`` fails: the crossing pairs must be exactly the
+    inversions of w, one crossing each and no other pair, and the
+    crossing rows distinct within each column.  Each crossing row lands
+    in its pair's slot, and ``tableaux._relabel`` relabels the columns."""
+    slot, starts, bit_rows = table
+    entries = [0] * len(starts)
+    if len(pipes) - pipes.count(None) != len(entries):
+        return None
+    for r, pair in zip(bit_rows, pipes):
+        if pair is not None:
+            s = slot.get(pair)
+            # not an inversion, or an inversion crossing twice
+            if s is None or entries[s]:
+                return None
+            entries[s] = r
+    return _relabel(starts, entries)
 
 
 def crosses(dream):
@@ -389,7 +435,8 @@ def test_phi_vector_matches_the_tableau_route():
 
 def test_consecutive_reads_route_a_dream_once():
     # trace keeps one routing, so reads of one dream in a row are routed
-    # once; check_increment_correspondence reads the dream before the
+    # once; phi_vector routes through _route_read and leaves the cache
+    # alone; check_increment_correspondence reads the dream before the
     # move, then the dream after it, each in a row
     w = Permutation.parse("14325")
     assert trace.cache_info().maxsize == 1
@@ -400,7 +447,7 @@ def test_consecutive_reads_route_a_dream_once():
         theta(d)
         is_reduced(d)
         info = trace.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (3, 1, 1), d.rows
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1), d.rows
         for mv in find_moves(d):
             trace.cache_clear()
             check_increment_correspondence(d, mv)
@@ -522,6 +569,115 @@ def test_crossing_vector_matches_the_dict_reader_on_inversion_pairs():
         assert got == dict_crossing_vector(boxes_of(n, pipes), w), (pipes, w)
         outcomes[got is None] += 1
     assert outcomes[True] and outcomes[False]
+
+
+def assert_route_read_agrees(n, mask, w, pipes=None):
+    """``_route_read`` against ``route_crosses`` and ``_crossing_vector``:
+    the same vector, or None from both; and at each cross the slot of
+    its pipe pair.  True when both refused the read."""
+    if pipes is None:
+        pipes = route_crosses(n, mask)[1]
+    want = _crossing_vector(pipes, _lehmer_slots(w))
+    got = _route_read(n, mask, _read_table(w))
+    if want is None:
+        assert got is None, (n, mask, w)
+        return True
+    vector, slots = got
+    assert vector == want, (n, mask, w)
+    support = _support(w)
+    for b, pair in enumerate(pipes):
+        if pair is not None:
+            assert support[slots[b]] == tuple(sorted(pair)), (n, mask, w, b)
+    return False
+
+
+def test_route_read_matches_the_pipe_pair_reader_on_every_mask_n_le_5():
+    outcomes = Counter()
+    for n in range(1, 6):
+        ws = [Permutation(word) for word in itertools.permutations(range(1, n + 1))]
+        for mask in range(1 << (n * (n - 1) // 2)):
+            pipes = route_crosses(n, mask)[1]
+            for w in ws:
+                outcomes[assert_route_read_agrees(n, mask, w, pipes)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_route_read_matches_the_pipe_pair_reader_on_s6_fibers_and_transposes():
+    # every element of every fiber of S_6, read for w, and its transpose,
+    # read for w^-1, as the transpose certificate reads it
+    count = 0
+    for word in itertools.permutations(range(1, 7)):
+        w = Permutation(word)
+        for mask in cached_poset(w).cross_masks:
+            assert not assert_route_read_agrees(6, mask, w)
+            assert not assert_route_read_agrees(6, _transpose_mask(6, mask), w.inverse())
+            count += 1
+    assert count == sum(cached_poset(Permutation(word)).size
+                        for word in itertools.permutations(range(1, 7)))
+
+
+def _reduced_mask(rng, n):
+    """The mask of a reduced dream of a seeded w of size n, and w: the
+    seed dream, then a few inverse moves, each taken at random."""
+    w = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    mask = _seed_mask(w)
+    for _ in range(rng.randrange(6)):
+        flips = [flip for _key, flip in inverse_move_scan(n, mask, route_crosses(n, mask)[1])]
+        if not flips:
+            break
+        mask ^= rng.choice(flips)
+    return mask, w
+
+
+def test_route_read_matches_the_pipe_pair_reader_on_seeded_n7_to_n11():
+    # half the masks are reduced dreams, read for their own wiring; the
+    # other half random fillings, non-reduced; every mask is read for its
+    # own wiring and for a seeded w
+    rng = random.Random(20261022)
+    outcomes = Counter()
+    for n in range(7, 12):
+        for k in range(60):
+            if k % 2:
+                mask, w = _reduced_mask(rng, n)
+            else:
+                while True:
+                    mask = rng.getrandbits(n * (n - 1) // 2)
+                    labels, pipes = route_crosses(n, mask)
+                    w = Permutation(tuple(labels[1:]))
+                    if not Routing(w, pipes).reduced:
+                        break
+            assert assert_route_read_agrees(n, mask, w) == (k % 2 == 0), (n, mask)
+            other = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            outcomes[assert_route_read_agrees(n, mask, other)] += 1
+    assert outcomes[True]
+
+
+def test_rows_key_sorts_every_fiber_of_s1_to_s7_as_rows_do():
+    for n in range(1, 8):
+        for word in itertools.permutations(range(1, n + 1)):
+            masks = cached_poset(Permutation(word)).cross_masks
+            want = sorted(masks, key=lambda m: _mask_rows(n, m))
+            assert sorted(masks, key=lambda m: _rows_key(n, m)) == want, word
+
+
+def test_rows_key_sorts_seeded_masks_as_rows_do():
+    # n = 8..12, so the top rows span two 8-bit chunks from n = 10 on;
+    # beside random masks, masks one bit away from a shared one, so that
+    # rows tie up to any column, and masks with the first 8 columns of
+    # one row cleared, so that a row's crosses may all lie past its first
+    # chunk; then n = 40, whose top row takes five chunks
+    rng = random.Random(20261023)
+    for n in list(range(8, 13)) + [40]:
+        bits = n * (n - 1) // 2
+        base = rng.getrandbits(bits)
+        offsets = _layout(n)[0]
+        masks = {rng.getrandbits(bits) for _ in range(150)}
+        masks |= {base ^ (1 << b) for b in range(bits)}
+        masks |= {base & ~(0xFF << offsets[r]) for r in range(1, n)}
+        masks = list(masks)
+        want = sorted(masks, key=lambda m: _mask_rows(n, m))
+        assert sorted(masks, key=lambda m: _rows_key(n, m)) == want, n
+        assert len({_rows_key(n, m) for m in masks}) == len(masks)
 
 
 def test_dreams_from_masks_are_valid():

@@ -17,7 +17,6 @@ from chutelat.perm import Permutation
 from chutelat.pipedream import (
     CROSS,
     PipeDream,
-    _cross_mask,
     phi_vector,
     route_crosses,
     theta,
@@ -88,8 +87,8 @@ def test_seed_is_max():
 
 
 def _seed_below_the_top(monkeypatch, w):
-    lower = cached_poset(w).elements[1]
-    monkeypatch.setattr(poset_module, "seed_dream", lambda _w: lower)
+    lower = cached_poset(w).cross_masks[1]
+    monkeypatch.setattr(poset_module, "_seed_mask", lambda _w: lower)
 
 
 def test_seed_below_the_top_is_refused(monkeypatch):
@@ -104,17 +103,17 @@ def test_seed_below_the_top_is_refused(monkeypatch):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_build_runs_without_the_collector_and_restores_it(monkeypatch, enabled):
     w = Permutation.parse("361542")
-    real_seed_dream = poset_module.seed_dream
+    real_seed_mask = poset_module._seed_mask
     during = []
 
     def spy(v):
         during.append(gc.isenabled())
-        return real_seed_dream(v)
+        return real_seed_mask(v)
 
     before = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        monkeypatch.setattr(poset_module, "seed_dream", spy)
+        monkeypatch.setattr(poset_module, "_seed_mask", spy)
         enumerate_poset(w)
         assert gc.isenabled() is enabled
         _seed_below_the_top(monkeypatch, w)
@@ -312,7 +311,8 @@ def test_digest_builds_no_up_set_and_verify_builds_each_once(capsys, monkeypatch
                  ["schubert", str(w)], ["info", str(w)]):
         assert cli_module.main(argv) == 0
     assert len(json.loads(capsys.readouterr().out.splitlines()[0])) == poset.size == 660
-    lazy = {"_down", "_covers_up", "_order", "_rank", "vectors", "_up", "_covers_down", "index"}
+    lazy = {"_down", "_covers_up", "_order", "_rank", "vectors", "_ends", "_up", "_covers_down",
+            "index"}
     assert not lazy & set(vars(poset))
     assert to_dot(poset).count(" -> ") == len(poset._targets)
     assert single_moves_all_covers(poset)
@@ -327,7 +327,21 @@ def test_digest_builds_no_up_set_and_verify_builds_each_once(capsys, monkeypatch
         monkeypatch.setattr(ChutePoset, name, counting(name, getattr(ChutePoset, name)))
     cached_poset.cache_clear()
     assert verify_module.run_checks(w).passed
-    assert sorted(made) == ["_closure_pass", "_make_covers_down", "_make_up", "_make_vectors"]
+    assert sorted(made) == [
+        "_closure_pass", "_make_covers_down", "_make_ends", "_make_up", "_make_vectors"]
+
+
+def test_passing_verify_and_schubert_sum_make_no_dream():
+    # the checks read masks, vectors and closures, and the Schubert sum
+    # counts crosses per row off the masks, so neither makes the dreams
+    w = Permutation.parse("1327654")
+    cached_poset.cache_clear()
+    assert verify_module.run_checks(w).passed
+    assert "elements" not in vars(cached_poset(w))
+    for word in itertools.permutations(range(1, 6)):
+        v = Permutation(word)
+        assert schubert_module.schubert_from_pipedreams(v) == schubert_module.schubert_oracle(v)
+        assert "elements" not in vars(cached_poset(v)), v
 
 
 def test_lazy_fields_are_plain_attributes_once_made():
@@ -347,16 +361,26 @@ def test_lazy_fields_are_plain_attributes_once_made():
 
 
 def test_lazy_vectors_equal_the_vectors_the_build_read(monkeypatch):
-    # the build reads each vector off its routing and stores it in the flat
-    # array; unpacked on first read, they are the ones it read, element by
+    # the build reads each vector off its mask, once per element, traces
+    # the seed alone, validates no dream, and stores each vector in the
+    # flat array;
+    # unpacked on first read, they are the ones it read, element by
     # element, and a hand-built poset gives back the vectors it was handed
     w = Permutation.parse("12438765")
-    read, read_vector = [], poset_module._crossing_vector
-    monkeypatch.setattr(
-        poset_module, "_crossing_vector",
-        lambda pipes, slots: read.append(read_vector(pipes, slots)) or read[-1],
-    )
+    read, route_read = [], poset_module._route_read
+
+    def reading(n, mask, table):
+        got = route_read(n, mask, table)
+        read.append(got[0])
+        return got
+
+    validated = []
+    validate = PipeDream.__post_init__
+    monkeypatch.setattr(poset_module, "_route_read", reading)
+    monkeypatch.setattr(PipeDream, "__post_init__", lambda d: validated.append(d) or validate(d))
+    trace.cache_clear()
     built = enumerate_poset(w)
+    assert trace.cache_info().misses == 1 and validated == []
     assert sorted(built.vectors) == sorted(read) and len(read) == built.size
     assert built.vectors == tuple(phi_vector(d, w) for d in built.elements)
     rows = [built.moves_up_idx(k) for k in range(built.size)]
@@ -397,10 +421,32 @@ def test_equal_crossing_row_tableaux_are_a_violation(monkeypatch):
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         ChutePoset(w, real.elements[:2], (real.vectors[0],) * 2, ((), ()))
     assert exc.value.witness == {"w": "1432"}
-    monkeypatch.setattr(poset_module, "_crossing_vector", lambda pipes, slots: real.vectors[0])
+    route_read = poset_module._route_read
+    monkeypatch.setattr(
+        poset_module, "_route_read",
+        lambda n, mask, table: (real.vectors[0], route_read(n, mask, table)[1]),
+    )
     with pytest.raises(TheoremViolation, match="crossing-row map is not injective") as exc:
         enumerate_poset(w)
     assert exc.value.witness == {"w": "1432"}
+
+
+def test_mask_read_refusing_a_readable_dream_is_a_runtime_error(monkeypatch):
+    # the mask read and the tableau route read the same vectors, so a
+    # mask read that refuses a dream the tableau route reads is a fault
+    # of the reader, not a theorem violation
+    w = Permutation.parse("1432")
+    refused = cached_poset(w).cross_masks[1]
+    route_read = poset_module._route_read
+    monkeypatch.setattr(
+        poset_module, "_route_read",
+        lambda n, mask, table: None if mask == refused else route_read(n, mask, table),
+    )
+    want = phi_vector(PipeDream._from_mask(w.n, refused), w)
+    with pytest.raises(RuntimeError, match="the mask read refused a dream of 1432") as exc:
+        enumerate_poset(w)
+    assert not isinstance(exc.value, TheoremViolation)
+    assert str(want) in str(exc.value)
 
 
 def test_poset_needs_one_vector_per_element():
@@ -410,49 +456,51 @@ def test_poset_needs_one_vector_per_element():
 
 
 def test_build_traces_each_element_once(monkeypatch):
-    # the downward search sends each element through the slot-swap router
-    # once: the seed inside trace, whose routing its wiring check, its
-    # up-move test, its vector read and its inverse-move scan share, every
-    # other element straight from its cross mask, the one pass giving both
-    # its vector read and its scan; the poset itself routes nothing
+    # the downward search traces the seed once, for its wiring and up-move
+    # checks, then reads every element once with _route_read, which
+    # routes it and reads its vector in one pass, and whose slots by bit
+    # feed the element's inverse-move scan; no other dream is traced, and
+    # the poset itself routes nothing
     w = Permutation.parse("12438765")
-    routed, routed_pipes, read, scanned = [], [], [], []
-    read_vector, scan = poset_module._crossing_vector, chute_module.inverse_move_scan
+    routed, read, read_slots, scanned = [], [], [], []
+    route_read, scan = poset_module._route_read, chute_module.inverse_move_scan
 
-    def counting(n, mask):
+    def reading(n, mask, table):
+        read.append(mask)
+        got = route_read(n, mask, table)
+        read_slots.append(got[1])
+        return got
+
+    def routing(n, mask):
         routed.append(mask)
-        labels, pipes = route_crosses(n, mask)
-        routed_pipes.append(pipes)
-        return labels, pipes
+        return route_crosses(n, mask)
 
-    monkeypatch.setattr(pipedream_module, "route_crosses", counting)
-    monkeypatch.setattr(poset_module, "route_crosses", counting)
-    monkeypatch.setattr(
-        poset_module, "_crossing_vector",
-        lambda pipes, slots: read.append(pipes) or read_vector(pipes, slots),
-    )
+    monkeypatch.setattr(pipedream_module, "route_crosses", routing)
+    monkeypatch.setattr(poset_module, "_route_read", reading)
     monkeypatch.setattr(
         chute_module, "inverse_move_scan",
-        lambda n, mask, pipes: scanned.append(pipes) or scan(n, mask, pipes),
+        lambda n, mask, slots: scanned.append(slots) or scan(n, mask, slots),
     )
     trace.cache_clear()
     built = enumerate_poset(w)
     info = trace.cache_info()
     assert info.misses == 1
     assert info.maxsize == 1 and info.currsize <= 1
-    assert len(routed) == built.size == 3003
-    assert set(routed) == {_cross_mask(d.rows)[0] for d in built.elements}
-    # each element's vector read and scan get the very pairs of its one
-    # routing (the lists are held here, so identity is meaningful)
-    assert len(read) == len(scanned) == 3003
-    assert all(a is b for a, b in zip(read, scanned))
-    assert all(a is b for a, b in zip(read, routed_pipes))
+    assert routed == [poset_module._seed_mask(w)] == [built.cross_masks[0]]
+    assert len(read) == built.size == 3003
+    assert set(read) == set(built.cross_masks)
+    # each element's scan gets the very slots of its one read (the lists
+    # are held here, so identity is meaningful)
+    assert len(scanned) == 3003
+    assert all(a is b for a, b in zip(read_slots, scanned))
+    assert "elements" not in vars(built)
     routed.clear()
+    read.clear()
     trace.cache_clear()
     ChutePoset(w, built.elements, built.vectors, [built.moves_up_idx(k) for k in range(built.size)])
     info = trace.cache_info()
     assert info.hits + info.misses == 0
-    assert routed == []
+    assert routed == read == []
 
 
 def test_build_reaches_large_n_from_cross_masks():
