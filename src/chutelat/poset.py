@@ -34,7 +34,6 @@ from .pipedream import (
     _rows_key,
     is_reduced,
     phi,
-    phi_vector,
     theta,
     trace,
 )
@@ -46,6 +45,7 @@ from .tableaux import (
     increment_multiset,
     lehmer_form,
     lehmer_leq,
+    lehmer_vector,
     restrict,
     validate_inversions_tableau,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "theta_inverse",
     "single_moves_all_covers",
     "classify_polygon",
-    "fork_polygon",
     "PathStep",
     "chute_path",
     "to_dot",
@@ -423,37 +422,45 @@ class PolygonType(Enum):
     NOT_A_POLYGON = "not_a_polygon"
 
 
-def classify_polygon(iv: Interval) -> PolygonType:
-    """Decide whether the interval consists of exactly two maximal chains
-    meeting only at the endpoints, and name it by its cardinality.
+def _span_polygon(poset: ChutePoset, bottom: int, top: int) -> PolygonType:
+    """Name [bottom, top] by walking its cover rows: DIAMOND or PENTAGON
+    when it is two maximal chains meeting only at the endpoints, of 4 or 5
+    elements, POLYGON for a larger such shape (which the checkers treat as
+    a failure), and NOT_A_POLYGON otherwise.
 
-    Let I = [a, b] have n >= 4 elements; I is convex, so its cover edges
-    are the poset's cover edges between members.  A polygon's two chains
-    give a two upper covers in I, b two lower covers, and every other
-    member one of each.  Conversely, let a have two upper covers in I,
-    every other member but b one, and b two lower covers.  Those are n
-    edges, and every member above a has a lower cover, so each member
-    strictly between a and b has exactly one.  The two cover paths up
-    from a then run to b, share no member between (it would have two
-    lower covers) and pass through every member (follow its lower covers
-    down to a).  Polygons of 4 and 5 elements get their usual names;
-    a larger one is a POLYGON, which the checkers treat as a failure.
+    The upper covers of a member that lie <= top are its upper covers in
+    the interval I.  The bottom must have two.  From each, the walk
+    follows a member's one upper cover in I until it reaches a lower
+    cover of the top; a member with another count, or two walks that end
+    at the same lower cover, make I no polygon.  Every walk ends, as it
+    climbs inside I and meets a lower cover of the top before the top.
+    A member covered by the top has no other upper cover in I, since it
+    would lie strictly between.  So a maximal chain up from the bottom to
+    any member of I takes one of the two first steps and then the one
+    upper cover in I at each member, and every member of (bottom, top)
+    lies on a walk.  Two walks that share a member go on together, so
+    walks with distinct ends are disjoint, and I is exactly the two
+    chains.  The verdict is therefore the cover-degree one on every
+    interval, a fork's span or not: two upper covers in I at the bottom,
+    one at every other member but the top, and two lower covers at the
+    top, which two walks with one end do not give it.
     """
-    mask = iv.mask
-    size = mask.bit_count()
-    if size < 4:
+    rank, covers = poset._rank, poset._covers_up
+    inside, ends = poset._down0(top), poset._covers_down[top]
+    starts = [j for j in covers[bottom] if (inside >> rank[j]) & 1]
+    if len(starts) != 2:
         return PolygonType.NOT_A_POLYGON
-    poset = iv.poset
-    rank, order = poset._rank, poset._order
-    lower = sum((mask >> rank[j]) & 1 for j in poset.covers_down_idx(iv.top))
-    if lower != 2:
-        return PolygonType.NOT_A_POLYGON
-    # every member but the top
-    for r in _bits(mask & poset._down[iv.top]):
-        k = order[r]
-        upper = sum((mask >> rank[j]) & 1 for j in poset.covers_up_idx(k))
-        if upper != (2 if k == iv.bottom else 1):
+    size, end = 4, None  # the endpoints and the two first steps
+    for k in starts:
+        while k not in ends:
+            step = [j for j in covers[k] if (inside >> rank[j]) & 1]
+            if len(step) != 1:
+                return PolygonType.NOT_A_POLYGON
+            k = step[0]
+            size += 1
+        if k == end:
             return PolygonType.NOT_A_POLYGON
+        end = k
     if size == 4:
         return PolygonType.DIAMOND
     if size == 5:
@@ -461,49 +468,9 @@ def classify_polygon(iv: Interval) -> PolygonType:
     return PolygonType.POLYGON
 
 
-def fork_polygon(
-    poset: ChutePoset, g: int, x: int, y: int, bound: int, up: bool
-) -> PolygonType | None:
-    """The shape of a fork's span read off cover rows: DIAMOND, PENTAGON,
-    or None when the covers show neither and ``classify_polygon`` must
-    decide.  With ``up``, (x, y) is a pair of upper covers of g with join
-    ``bound``; otherwise a pair of lower covers of g with meet ``bound``.
-
-    Take an up-fork, b its join and I = [g, b].  Every member of (g, b]
-    lies above an upper cover of g that is <= b, the first step of a
-    maximal chain up to it from g.  So when x and y are the only upper
-    covers of g that lie <= b, I is {g} with [x, b] and [y, b], and when b
-    covers x, [x, b] = {x, b}, since a cover has nothing strictly between.
-    If b covers both, I = {g, x, y, b}: a diamond, x and y being distinct
-    upper covers of g and so incomparable.  If b covers y alone and x has
-    exactly one upper cover z <= b, which b covers, the same argument at x
-    gives [x, b] = {x, z, b}, so I is the chains g < x < z < b and
-    g < y < b; y is none of x, z, b, since y > x would put x strictly
-    between g and its cover y.  That is a pentagon.  In both shapes the
-    cover degrees inside I are the ones ``classify_polygon`` counts, so
-    its verdict is the same.  Down-fork spans are dual: lower covers of g
-    that are >= the meet a, and upper covers of a.
-    """
-    rank = poset._rank
-    inside = poset._down0(bound) if up else poset._up0(bound)
-    onward = poset._covers_up if up else poset._covers_down
-    ends = (poset._covers_down if up else poset._covers_up)[bound]
-
-    def steps(k):
-        # the covers of k that lead away from g and stay inside the span
-        return [j for j in onward[k] if (inside >> rank[j]) & 1]
-
-    if len(steps(g)) != 2:
-        return None
-    x_end, y_end = x in ends, y in ends
-    if x_end and y_end:
-        return PolygonType.DIAMOND
-    if x_end == y_end:
-        return None
-    z = steps(y if x_end else x)
-    if len(z) == 1 and z[0] in ends:
-        return PolygonType.PENTAGON
-    return None
+def classify_polygon(iv: Interval) -> PolygonType:
+    """The shape of an interval, as ``_span_polygon`` names it."""
+    return _span_polygon(iv.poset, iv.bottom, iv.top)
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +505,16 @@ def _move_of(key: tuple, support: tuple) -> chute.ChuteMove:
 
 def _read_error(w: Permutation, masks: list, up: list, keys: dict, k: int) -> Exception:
     """The error for element k, whose mask read failed: the ValueError of
-    ``phi_vector``, which reads through the tableau route when the mask
-    read fails, as a TheoremViolation with the dream, and the source and
-    move that first reached it (``up[k][:2]``, a key id in ``keys``), as
-    witness.  The two routes read the same vectors, so one that reads
-    the dream is a fault of the mask read, a RuntimeError.  Only this
-    path makes dreams in the build."""
+    the tableau route, ``lehmer_vector(theta(dream), w)``, as a
+    TheoremViolation with the dream, and the source and move that first
+    reached it (``up[k][:2]``, a key id in ``keys``), as witness.  The two
+    routes read the same vectors, so one that reads the dream is a fault
+    of the mask read, a RuntimeError.  Only this path makes dreams in the
+    build."""
     n = w.n
     dream = PipeDream._from_mask(n, masks[k])
     try:
-        vector = phi_vector(dream, w)
+        vector = lehmer_vector(theta(dream), w)
     except ValueError as exc:
         witness = {"w": str(w), "dream": dream.to_json()}
         if k:

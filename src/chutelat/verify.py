@@ -17,8 +17,9 @@ from itertools import chain, combinations, islice
 from .chute import inverse_move_scan
 from .errors import TheoremViolation
 from .perm import Permutation
-# ``transpose`` is no longer called here; perfbench/child.py wraps
-# ``verify.transpose`` by name, so the name stays
+# ``transpose`` and ``classify_polygon`` are no longer called here;
+# perfbench/child.py wraps ``verify.transpose`` and
+# ``verify.classify_polygon`` by name, so the names stay
 from .pipedream import (
     _read_table,
     _route_read,
@@ -28,13 +29,12 @@ from .pipedream import (
 )
 from .poset import (
     ChutePoset,
-    Interval,
     PolygonType,
     _bits,
     _seed_mask,
+    _span_polygon,
     cached_poset,
     classify_polygon,
-    fork_polygon,
 )
 from .tableaux import _support
 
@@ -364,12 +364,11 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
     the span of the up-fork (x, y) at a, and the fork loop classifies it.
 
     Each fork's bound comes from the fork table, and its span is named
-    from cover rows by ``fork_polygon``; only a span the covers show as
-    neither a diamond nor a pentagon goes to ``classify_polygon``.  A
-    fork without a bound raises the bound's own violation when the walk
-    reaches it.  A span met again is skipped: it passed the first time,
-    or the check would have returned, so the first failing span and its
-    witness stay.
+    by one ``_span_polygon`` call, which walks the span's two chains up
+    the cover rows.  A fork without a bound raises the bound's own
+    violation when the loop reaches it.  A span met again is skipped: it
+    passed the first time, or the check would have returned, so the
+    first failing span and its witness stay.
     """
     seen = set()
     tables = {up: iter(_fork_bounds(poset, deadline, up)) for up in (True, False)}
@@ -384,9 +383,7 @@ def check_polygonal(poset: ChutePoset, deadline: Deadline):
                 if span in seen:
                     continue
                 seen.add(span)
-                verdict = fork_polygon(poset, g, x, y, b, up)
-                if verdict is None:
-                    verdict = classify_polygon(Interval(poset, *span))
+                verdict = _span_polygon(poset, *span)
                 if verdict not in (PolygonType.DIAMOND, PolygonType.PENTAGON):
                     return {
                         "note": "interval is not a diamond or pentagon",

@@ -15,8 +15,9 @@ every pair compared with the image of its meet, and a second test that
 each last-column pair is reversed.  The anti-isomorphism that the
 transpose order pass proves already gives both of the last two.  The
 in-degree count of move edges is kept as the oracle's ``min_element``,
-and the polygon oracle classifies an interval by listing its maximal
-chains, where ``classify_polygon`` counts cover degrees.
+and two polygon oracles classify an interval, one by listing its maximal
+chains and one by counting cover degrees, where ``_span_polygon`` walks
+two chains up the cover rows.
 Both routes must give the same order, bounds, intervals and covers, and
 the same reports with the same witnesses, on healthy fibers and on
 broken ones.
@@ -43,9 +44,9 @@ from chutelat.poset import (
     ChutePoset,
     Interval,
     PolygonType,
+    _span_polygon,
     cached_poset,
     classify_polygon,
-    fork_polygon,
 )
 
 
@@ -70,7 +71,7 @@ class OraclePoset(ChutePoset):
             rank[k] = r
         self._toporank = tuple(rank)
         # in the canonical layout rank and index coincide, which is what
-        # classify_polygon needs to read an oracle interval's mask
+        # the polygon classifiers need to read an oracle interval's mask
         self._rank = self._order = tuple(range(size))
         up = [0] * size
         for k in reversed(order):
@@ -270,6 +271,44 @@ def oracle_classify_polygon(iv: Interval) -> PolygonType:
     if iv.size == 4:
         return PolygonType.DIAMOND
     if iv.size == 5:
+        return PolygonType.PENTAGON
+    return PolygonType.POLYGON
+
+
+def oracle_cover_degree_polygon(iv: Interval) -> PolygonType:
+    """Decide whether the interval consists of exactly two maximal chains
+    meeting only at the endpoints, and name it by its cardinality.
+
+    Let I = [a, b] have n >= 4 elements; I is convex, so its cover edges
+    are the poset's cover edges between members.  A polygon's two chains
+    give a two upper covers in I, b two lower covers, and every other
+    member one of each.  Conversely, let a have two upper covers in I,
+    every other member but b one, and b two lower covers.  Those are n
+    edges, and every member above a has a lower cover, so each member
+    strictly between a and b has exactly one.  The two cover paths up
+    from a then run to b, share no member between (it would have two
+    lower covers) and pass through every member (follow its lower covers
+    down to a).  Polygons of 4 and 5 elements get their usual names;
+    a larger one is a POLYGON, which the checkers treat as a failure.
+    """
+    mask = iv.mask
+    size = mask.bit_count()
+    if size < 4:
+        return PolygonType.NOT_A_POLYGON
+    poset = iv.poset
+    rank, order = poset._rank, poset._order
+    lower = sum((mask >> rank[j]) & 1 for j in poset.covers_down_idx(iv.top))
+    if lower != 2:
+        return PolygonType.NOT_A_POLYGON
+    # every member but the top
+    for r in _bits(mask & poset._down[iv.top]):
+        k = order[r]
+        upper = sum((mask >> rank[j]) & 1 for j in poset.covers_up_idx(k))
+        if upper != (2 if k == iv.bottom else 1):
+            return PolygonType.NOT_A_POLYGON
+    if size == 4:
+        return PolygonType.DIAMOND
+    if size == 5:
         return PolygonType.PENTAGON
     return PolygonType.POLYGON
 
@@ -863,9 +902,9 @@ def test_fork_table_polls_once_per_element_and_keeps_no_partial_table():
 
 
 def fork_verdicts(poset):
-    """``fork_polygon``'s verdict on the span of every fork with a bound,
-    on both sides, which must be ``classify_polygon``'s whenever it names
-    one; the set of verdicts seen."""
+    """``_span_polygon``'s verdict on the span of every fork with a bound,
+    on both sides, which must be both oracles'; the set of verdicts
+    seen."""
     seen = set()
     for g in range(poset.size):
         for up in (True, False):
@@ -874,12 +913,8 @@ def fork_verdicts(poset):
                 found = outcome(bound, x, y)
                 if found[0] != "ok":
                     continue
-                b = found[1]
-                verdict = fork_polygon(poset, g, x, y, b, up)
-                if verdict is not None:
-                    iv = Interval(poset, *((g, b) if up else (b, g)))
-                    assert verdict is classify_polygon(iv), (str(poset.w), g, x, y, up)
-                seen.add(verdict)
+                span = (g, found[1]) if up else (found[1], g)
+                seen |= classify_both(poset, [span])
     return seen
 
 
@@ -899,13 +934,14 @@ def test_cover_rows_name_fork_spans_like_classify_polygon_on_samples_and_shapes(
     for w in sampled_n7():
         seen |= fork_verdicts(cached_poset(w))
     assert seen == {PolygonType.DIAMOND, PolygonType.PENTAGON}
-    # shapes that are neither: each has a span the cover rows leave to
-    # classify_polygon, and no verdict they name may differ from its
+    # shapes that are neither: each has a span named neither a diamond nor
+    # a pentagon, and every span's verdict must be the oracles'
     for poset in hand_built_shapes():
         fork_verdicts(poset)
     for build in (hexagon_361542, m3_361542, split_pentagon_361542,
                   skewed_hexagon_361542, forked_pentagon_361542):
-        assert None in fork_verdicts(build()), build.__name__
+        seen = fork_verdicts(build())
+        assert seen - {PolygonType.DIAMOND, PolygonType.PENTAGON}, build.__name__
 
 
 def test_transpose_check_builds_no_dream(monkeypatch):
@@ -1118,51 +1154,54 @@ def _fork_spans(poset):
 
 
 def _classified_spans(monkeypatch, poset):
-    """The (bottom, top) of each ``fork_polygon`` call that a passing
+    """The (bottom, top) of each ``_span_polygon`` call that a passing
     ``check_polygonal`` makes, in call order, and of each
     ``classify_polygon`` call."""
-    calls, fallbacks = [], []
-    real_fork, real_classify = verify.fork_polygon, verify.classify_polygon
+    calls, interval_calls = [], []
+    real_walk, real_classify = verify._span_polygon, verify.classify_polygon
 
-    def counted(poset, g, x, y, bound, up):
-        calls.append((g, bound) if up else (bound, g))
-        return real_fork(poset, g, x, y, bound, up)
+    def counted(poset, bottom, top):
+        calls.append((bottom, top))
+        return real_walk(poset, bottom, top)
 
-    def fallback(iv):
-        fallbacks.append((iv.bottom, iv.top))
+    def via_interval(iv):
+        interval_calls.append((iv.bottom, iv.top))
         return real_classify(iv)
 
     with monkeypatch.context() as m:
-        m.setattr(verify, "fork_polygon", counted)
-        m.setattr(verify, "classify_polygon", fallback)
+        m.setattr(verify, "_span_polygon", counted)
+        m.setattr(verify, "classify_polygon", via_interval)
         assert verify.check_polygonal(poset, verify.Deadline(None)) is None
-    return calls, fallbacks
+    return calls, interval_calls
 
 
 def test_each_fork_span_is_classified_once(monkeypatch):
-    # a span met again already passed, so it is not classified again; on
-    # a passing fiber the cover rows name every span, so the interval
-    # classifier never runs
+    # a span met again already passed, so it is not classified again, and
+    # each span is classified by one walk, with no Interval made for
+    # classify_polygon
     for word in itertools.permutations(range(1, 6)):
         poset = cached_poset(Permutation(word))
         distinct = list(dict.fromkeys(_fork_spans(poset)))
         assert _classified_spans(monkeypatch, poset) == (distinct, []), word
     mid = cached_poset(Permutation.parse("1327654"))
-    calls, fallbacks = _classified_spans(monkeypatch, mid)
+    calls, interval_calls = _classified_spans(monkeypatch, mid)
     assert calls == list(dict.fromkeys(_fork_spans(mid)))
     assert len(calls) == 2287
-    assert fallbacks == []
+    assert interval_calls == []
 
 
 def classify_both(poset, pairs):
-    """The cover-degree verdict of each interval, which must be the chain
-    search's; the set of verdicts seen, so a caller can tell the pairs
-    exercised more than one outcome."""
+    """The walk's verdict on each interval, which must be the verdict of
+    ``classify_polygon`` and of both oracles, the chain search and the
+    cover-degree count; the set of verdicts seen, so a caller can tell
+    the pairs exercised more than one outcome."""
     seen = set()
     for a, b in pairs:
         iv = poset.interval_idx(a, b)
-        verdict = classify_polygon(iv)
+        verdict = _span_polygon(poset, a, b)
+        assert verdict is classify_polygon(iv), (str(poset.w), a, b)
         assert verdict is oracle_classify_polygon(iv), (str(poset.w), a, b)
+        assert verdict is oracle_cover_degree_polygon(iv), (str(poset.w), a, b)
         seen.add(verdict)
     return seen
 
@@ -1183,10 +1222,13 @@ def test_cover_degrees_classify_like_chains_on_samples_and_fixtures():
         poset = cached_poset(w)
         seen |= classify_both(poset, _comparable_pairs(poset))
     mid = cached_poset(Permutation.parse("1327654"))
-    spans = _fork_spans(mid)
-    assert len(spans) == 4574
-    seen |= classify_both(mid, spans)
+    assert len(_fork_spans(mid)) == 4574
+    seen |= classify_both(mid, _comparable_pairs(mid))
     assert {PolygonType.DIAMOND, PolygonType.PENTAGON, PolygonType.NOT_A_POLYGON} <= seen
+    assert PolygonType.POLYGON not in seen
+    for poset in hand_built_shapes():
+        seen |= classify_both(poset, _comparable_pairs(poset))
+    assert seen == set(PolygonType)
     hexagon = hexagon_361542()
     assert PolygonType.POLYGON in classify_both(hexagon, _comparable_pairs(hexagon))
     glued = cached_poset(Permutation.parse("12543"))
