@@ -1,13 +1,16 @@
-"""Permutations in one-line notation.
+"""Permutations in one-line notation and their inversion diagrams.
 
 The text form concatenates digits for n <= 9 ("361542") and falls back to
 comma-separated values ("3,6,1,5,4,2,12,...") for larger degrees, so every
 permutation round-trips through ``str`` and ``Permutation.parse``.
+
+The inversion diagram of w is made once per w, by ``_diagram``, and every
+reader of it in the package reads that one record.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,8 +70,8 @@ class Permutation:
         """The order-reversing permutation w0 = n, n-1, ..., 1."""
         return Permutation(tuple(range(n, 0, -1)))
 
-    # every fiber reads its inverse for the seed and for the transpose
-    # check; as with ``inversions``, the bound keeps a sweep small
+    # the transpose check and the Schubert oracle read the inverse of each
+    # fiber's w; as with ``_diagram``, the bound keeps a sweep small
     @lru_cache(maxsize=64)
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -76,44 +79,24 @@ class Permutation:
             inv[val - 1] = pos
         return Permutation(tuple(inv))
 
-    # Every tableau of a fiber asks for the same diagram; a small bound
-    # keeps an S_n sweep from holding every permutation it visits.
-    @lru_cache(maxsize=64)
     def inversions(self) -> frozenset[tuple[int, int]]:
-        """Value pairs (i, j), i < j, where i appears to the right of j.
-
-        These index the boxes of the inversion diagram: (i, j) with i < j is
-        an inversion exactly when inverse()(i) > inverse()(j).  Cached
-        per permutation; the result is immutable, so sharing it is safe.
-        """
-        pos = self.inverse().word
-        n = self.n
-        return frozenset(
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if pos[i - 1] > pos[j - 1]
-        )
+        """Value pairs (i, j), i < j, where i appears to the right of j:
+        the boxes of the inversion diagram (``_diagram``)."""
+        return frozenset(_diagram(self).boxes)
 
     def length(self) -> int:
         """Coxeter length = number of inversions."""
-        return len(self.inversions())
+        return len(_diagram(self).boxes)
 
     def lehmer_code(self) -> tuple[int, ...]:
-        """code(i) = #{j > i : word[j] < word[i]}, read right to left: the
-        values right of i, kept sorted, below word[i] are the first
-        ``bisect_left`` of them.
+        """code(i) = #{j > i : word[j] < word[i]}: the values below
+        word[i] right of it, the boxes of column word[i] of the diagram.
 
         >>> Permutation.parse("361542").lehmer_code()
         (2, 4, 0, 2, 1, 0)
         """
-        seen: list[int] = []
-        code = []
-        for v in reversed(self.word):
-            k = bisect_left(seen, v)
-            code.append(k)
-            seen.insert(k, v)
-        return tuple(reversed(code))
+        cols = _diagram(self).cols
+        return tuple(cols[v] for v in self.word)
 
     def delete_values_above(self, j: int) -> "Permutation":
         """Drop the values j+1..n from the word; the result lives in S_j."""
@@ -129,3 +112,37 @@ class Permutation:
         top = list(range(1, n + 1))
         bottom = [2 * n + 1 - self.word[2 * n - i] for i in range(n + 1, 2 * n + 1)]
         return Permutation(tuple(top + bottom))
+
+
+_Diagram = namedtuple("_Diagram", "boxes starts slot rows cols")
+
+
+# every tableau, read and move of a fiber asks for the same diagram; the
+# bound keeps a sweep small, and the record holds tuples only
+@lru_cache(maxsize=64)
+def _diagram(w: Permutation) -> _Diagram:
+    """The inversion diagram of w, read column by column off the positions
+    of the values: (i, j), i < j, is a box when i sits right of j.
+    ``boxes`` lists them in (column, row) order, a Lehmer vector's, and
+    ``starts`` flags the lowest of each column; ``slot`` holds box (i, j)'s
+    index at i * (n + 1) + j and at j * (n + 1) + i, and -1 off the
+    diagram; ``rows[k]`` and ``cols[k]``, k = 0..n, count the boxes of
+    row k and column k, the Lehmer codes of w^-1 at k and of w where k
+    sits."""
+    width = len(w.word) + 1
+    pos = [0] * width
+    for p, v in enumerate(w.word, start=1):
+        pos[v] = p
+    boxes, starts = [], []
+    slot = [-1] * (width * width)
+    rows, cols = [0] * width, [0] * width
+    for j in range(2, width):
+        at, first = pos[j], len(boxes)
+        for i in range(1, j):
+            if pos[i] > at:
+                slot[i * width + j] = slot[j * width + i] = len(boxes)
+                starts.append(len(boxes) == first)
+                boxes.append((i, j))
+                rows[i] += 1
+        cols[j] = len(boxes) - first
+    return _Diagram(tuple(boxes), tuple(starts), tuple(slot), tuple(rows), tuple(cols))

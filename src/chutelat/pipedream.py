@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import TheoremViolation
-from .perm import Permutation
+from .perm import Permutation, _diagram
 from .tableaux import (
     InversionsTableau,
     LehmerTableau,
     _check_json_n,
-    _column_starts,
     _relabel,
-    _support,
     lehmer_form,
     lehmer_vector,
 )
@@ -376,22 +374,12 @@ def phi(dream: PipeDream) -> LehmerTableau:
     return lehmer_form(t, t.w)
 
 
-@lru_cache(maxsize=64)
 def _read_table(w: Permutation) -> tuple:
     """What ``_route_read`` reads a dream of w with: per mask bit its west
-    slot and its row (see ``_layout``); the slot in the Lehmer vector,
-    the (column, row) order of ``_support``, of each inversion (i, j) of
-    w at i * (n + 1) + j and at j * (n + 1) + i, and -1 at every other
-    pair; per slot whether it starts its column; and what a read copies
-    to start from, the labels 0..n and a 0 per mask bit.  A build makes
-    it once for w, the transpose check once for w^-1; it is shared, so
-    it holds tuples only."""
-    width = w.n + 1
-    slot = [-1] * (width * width)
-    for s, (i, j) in enumerate(_support(w)):
-        slot[i * width + j] = slot[j * width + i] = s
-    west, rows = _layout(w.n)[1:3]
-    return west, rows, tuple(slot), _column_starts(w), tuple(range(width)), (0,) * len(west)
+    slot and its row (see ``_layout``), and from ``_diagram(w)`` the slot
+    of each pipe pair in the Lehmer vector and the column starts."""
+    diagram = _diagram(w)
+    return (*_layout(w.n)[1:3], diagram.slot, diagram.starts)
 
 
 def _route_read(n: int, mask: int, table: tuple) -> tuple[tuple[int, ...], list] | None:
@@ -407,12 +395,12 @@ def _route_read(n: int, mask: int, table: tuple) -> tuple[tuple[int, ...], list]
     ``tableaux._relabel`` relabels the columns, which fails when a
     crossing row repeats in one.  The count of crosses is tested first,
     and a pair off the inversions or met twice stops the routing."""
-    west, rows, slot, starts, labels, slots = table
+    west, rows, slot, starts = table
     if mask.bit_count() != len(starts):
         return None
     width = n + 1
-    labels = list(labels)
-    slots = list(slots)
+    labels = list(range(width))
+    slots = [0] * len(west)
     entries = [0] * len(starts)
     while mask:
         low = mask & -mask

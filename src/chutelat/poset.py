@@ -24,7 +24,7 @@ from itertools import accumulate, chain, repeat
 
 from . import chute
 from .errors import Incomparable, TheoremViolation
-from .perm import Permutation
+from .perm import Permutation, _diagram
 from .pipedream import (
     PipeDream,
     _cross_mask,
@@ -39,7 +39,6 @@ from .pipedream import (
 )
 from .tableaux import (
     InversionsTableau,
-    _support,
     delta_multiset,
     increment,
     increment_multiset,
@@ -91,10 +90,12 @@ def _csr(rows) -> _Csr:
 
 def _seed_mask(w: Permutation) -> int:
     """The cross mask of the seed dream of w: row i holds crosses in
-    columns 1..c(i), c the Lehmer code of the inverse permutation."""
+    columns 1..c(i), c the Lehmer code of the inverse permutation: the
+    box counts of the rows of the inversion diagram."""
     offsets = _layout(w.n)[0]
     mask = 0
-    for i, c in enumerate(w.inverse().lehmer_code(), start=1):
+    # row 0 of the diagram is empty and adds no cross
+    for i, c in enumerate(_diagram(w).rows):
         mask |= ((1 << c) - 1) << offsets[i]
     return mask
 
@@ -496,11 +497,11 @@ def _undirected_depth(up: list[list]) -> list[int]:
     return depth
 
 
-def _move_of(key: tuple, support: tuple) -> chute.ChuteMove:
+def _move_of(key: tuple, boxes: tuple) -> chute.ChuteMove:
     """The move of a build's scan key: its rectangle and, in place of the
-    pipe pair, the pair's slot in ``support``, the inversions of w in
-    Lehmer-vector order.  The move is the one ``chute`` shares."""
-    return chute._shared_move((*key[:4], support[key[4]]))
+    pipe pair, the pair's slot in ``boxes``, w's ``_diagram`` boxes.  The
+    move is the one ``chute`` shares."""
+    return chute._shared_move((*key[:4], boxes[key[4]]))
 
 
 def _read_error(w: Permutation, masks: list, up: list, keys: dict, k: int) -> Exception:
@@ -520,7 +521,7 @@ def _read_error(w: Permutation, masks: list, up: list, keys: dict, k: int) -> Ex
         if k:
             m, source = up[k][:2]
             witness["source"] = PipeDream._from_mask(n, masks[source]).to_json()
-            witness["move"] = _move_of(list(keys)[m], _support(w)).to_json()
+            witness["move"] = _move_of(list(keys)[m], _diagram(w).boxes).to_json()
         return TheoremViolation(str(exc), witness=witness)
     return RuntimeError(f"the mask read refused a dream of {w} that the tableau route reads as {vector}")
 
@@ -592,8 +593,8 @@ def enumerate_poset(w: Permutation) -> ChutePoset:
         for pos, k in enumerate(order):
             canon[k] = pos
         # each key's place among the moves in move order
-        support = _support(w)
-        found = [_move_of(key, support) for key in keys]
+        boxes = _diagram(w).boxes
+        found = [_move_of(key, boxes) for key in keys]
         by_order = sorted(range(len(found)), key=lambda m: chute.move_order(found[m]))
         place = {m: pos for pos, m in enumerate(by_order)}
         # sorted by source, move and target: the CSR rows

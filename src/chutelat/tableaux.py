@@ -14,6 +14,9 @@ Three nested families appear here:
   pipe dreams under the crossing-row map;
 * Lehmer tableaux: the image of the column-injective family under the
   column-local relabeling ``lehmer_form``, ordered componentwise.
+
+Every reader of the inversion diagram of w reads ``perm._diagram(w)``: its
+boxes in Lehmer-vector order, column starts and pair-to-box table.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .perm import Permutation
+from .perm import Permutation, _diagram
 
 __all__ = [
     "StairTableau",
@@ -140,11 +142,11 @@ class LehmerTableau:
         _check_stair_shape(rows, allow_none=True)
         if self.w.n != self.n:
             raise ValueError(f"tableau has n={self.n} but w has n={self.w.n}")
-        inv = self.w.inversions()
-        for j in range(2, self.n + 1):
+        slot, width = _diagram(self.w).slot, self.n + 1
+        for j in range(2, width):
             for i in range(1, j):
                 have = rows[i - 1][j - i - 1] is not None
-                if have != ((i, j) in inv):
+                if have != (slot[i * width + j] >= 0):
                     raise ValueError(
                         f"support mismatch at ({i},{j}): entries must sit "
                         f"exactly on the inversions of {self.w}"
@@ -161,7 +163,7 @@ class LehmerTableau:
 
     def support(self) -> tuple[tuple[int, int], ...]:
         """Inversion boxes in (column, row)-sorted order."""
-        return _support(self.w)
+        return _diagram(self.w).boxes
 
     def as_vector(self) -> tuple[int, ...]:
         return tuple(self.get(i, j) for (i, j) in self.support())
@@ -189,23 +191,6 @@ def _check_json_n(t, obj: dict):
     if type(obj.get("n")) is not int or obj["n"] != t.n:
         raise ValueError(f"n field must be the integer {t.n}, got {obj.get('n')!r}")
     return t
-
-
-# every vector of a fiber reads the same support; as with
-# ``Permutation.inversions``, a small bound keeps a sweep from holding every
-# permutation it visits, and the tuple is immutable, so sharing it is safe
-@lru_cache(maxsize=64)
-def _support(w: Permutation) -> tuple[tuple[int, int], ...]:
-    """The inversion diagram of w in (column, row) order, read column by
-    column off the positions of the values: (i, j) with i < j is an
-    inversion when i sits right of j."""
-    pos = w.inverse().word
-    return tuple([
-        (i, j)
-        for j, at in enumerate(pos[1:], start=2)
-        for i, p in enumerate(pos[: j - 1], start=1)
-        if p > at
-    ])
 
 
 def _rebuild(t: StairTableau, rows):
@@ -261,18 +246,18 @@ def _column_scan(t: StairTableau, w: Permutation, row_bound: bool) -> Validation
     the membership test for column-injective tableaux."""
     if t.n != w.n:
         raise ValueError(f"tableau n={t.n} but w has n={w.n}")
-    inv = w.inversions()
+    slot, width = _diagram(w).slot, t.n + 1
     rows = t.rows
-    for j in range(2, t.n + 1):
+    for j in range(2, width):
         seen = {}
         for i in range(1, j):
             v = rows[i - 1][j - i - 1]
-            if v == 0 and (i, j) in inv:
+            if v == 0 and slot[i * width + j] >= 0:
                 return ValidationResult(
                     False, "zero_on_inversion", box=(i, j),
                     message=f"({i},{j}) is an inversion of {w} but holds 0",
                 )
-            if v != 0 and (i, j) not in inv:
+            if v != 0 and slot[i * width + j] < 0:
                 return ValidationResult(
                     False, "nonzero_off_inversion", box=(i, j),
                     message=f"({i},{j}) is not an inversion of {w} but holds {v}",
@@ -322,13 +307,6 @@ def validate_inversions_tableau(t: StairTableau, w: Permutation) -> ValidationRe
 # the Lehmer bijection
 
 
-@lru_cache(maxsize=64)
-def _column_starts(w: Permutation) -> tuple[bool, ...]:
-    """Per box of ``_support(w)``, whether it is the lowest of its column."""
-    support = _support(w)
-    return tuple(s == 0 or support[s - 1][1] != j for s, (_i, j) in enumerate(support))
-
-
 def _relabel(starts: tuple[bool, ...], entries: list[int]) -> tuple[int, ...] | None:
     """Column-local relabeling of positive entries given in (column, row)
     order, a new column beginning at each entry whose flag in ``starts``
@@ -358,8 +336,8 @@ def lehmer_vector(t: StairTableau, w: Permutation) -> tuple[int, ...]:
     res = _column_scan(t, w, row_bound=False)
     if not res:
         raise ValueError(f"not column-injective for {w}: {res.message}")
-    rows = t.rows
-    entries = [rows[i - 1][j - i - 1] for i, j in _support(w)]
+    rows, diagram = t.rows, _diagram(w)
+    entries = [rows[i - 1][j - i - 1] for i, j in diagram.boxes]
     # a column-injective entry may be any positive int, so _relabel reads
     # the entries' ranks, which compare as the entries do: entry v of rank
     # k relabels to v - k plus its rank's relabel.  The scan passed, so
@@ -367,7 +345,7 @@ def lehmer_vector(t: StairTableau, w: Permutation) -> tuple[int, ...]:
     rank = {v: k for k, v in enumerate(sorted(set(entries)), start=1)}
     ranks = [rank[v] for v in entries]
     return tuple(
-        v - k + m for v, k, m in zip(entries, ranks, _relabel(_column_starts(w), ranks))
+        v - k + m for v, k, m in zip(entries, ranks, _relabel(diagram.starts, ranks))
     )
 
 
@@ -377,7 +355,7 @@ def lehmer_form(t: StairTableau, w: Permutation) -> LehmerTableau:
     of the inversion diagram."""
     vector = lehmer_vector(t, w)
     rows = [[None] * (t.n - i) for i in range(1, t.n)]
-    for (i, j), m in zip(_support(w), vector):
+    for (i, j), m in zip(_diagram(w).boxes, vector):
         rows[i - 1][j - i - 1] = m
     return LehmerTableau(w, tuple(tuple(r) for r in rows))
 
@@ -466,7 +444,7 @@ def delta_multiset(
         if t1.w != t2.w:
             raise ValueError("tableaux tagged with different permutations")
     out: Counter = Counter()
-    for box, a, b in zip(_support(w), lehmer_vector(t1, w), lehmer_vector(t2, w)):
+    for box, a, b in zip(_diagram(w).boxes, lehmer_vector(t1, w), lehmer_vector(t2, w)):
         if b < a:
             return None
         if b > a:

@@ -16,7 +16,7 @@ from itertools import chain, combinations, islice
 
 from .chute import inverse_move_scan
 from .errors import TheoremViolation
-from .perm import Permutation
+from .perm import Permutation, _diagram
 # ``transpose`` and ``classify_polygon`` are no longer called here;
 # perfbench/child.py wraps ``verify.transpose`` and
 # ``verify.classify_polygon`` by name, so the names stay
@@ -36,7 +36,6 @@ from .poset import (
     cached_poset,
     classify_polygon,
 )
-from .tableaux import _support
 
 __all__ = [
     "CheckResult",
@@ -551,8 +550,9 @@ def _meets_and_last_column(poset: ChutePoset, deadline: Deadline, image_vectors:
     inverse = w.inverse()
     row0 = inverse(n)
     # the last column holds one inversion (i, n) per value i right of n
-    cut = len(_support(w)) - (n - row0)
-    kept = [k for k, (i, _j) in enumerate(_support(inverse)) if i != row0]
+    diagram = _diagram(w)
+    cut = len(diagram.boxes) - diagram.cols[n]
+    kept = [k for k, (i, _j) in enumerate(_diagram(inverse).boxes) if i != row0]
     # a pair fails when its images differ off the forced row, so each group
     # of one prefix before the last column is split by its images' vectors
     # off that row, and only a group split in two or more can fail

@@ -369,8 +369,8 @@ def oracle_transpose(poset, deadline):
                 return verify._pair_witness(poset, a, b, "transpose of meet is not the join")
     n = w.n
     row0 = w.inverse()(n)
-    last_col = {k for k, box in enumerate(tableaux._support(w)) if box[1] == n}
-    bad_row = {k for k, box in enumerate(tableaux._support(other.w)) if box[0] == row0}
+    last_col = {k for k, box in enumerate(tableaux._diagram(w).boxes) if box[1] == n}
+    bad_row = {k for k, box in enumerate(tableaux._diagram(other.w).boxes) if box[0] == row0}
     for a in range(size):
         va = poset.vectors[a]
         for b in range(size):
@@ -1364,23 +1364,24 @@ def test_last_column_pairs_fail_alike_on_both_routes(monkeypatch):
     # with the forced row of the inverse fiber emptied, a last-column pair
     # fails as soon as its transposes differ at all, which happens on most
     # fibers of S_6; both routes must stop at the same first pair.  The
-    # check reads the support through verify, the oracle through tableaux.
-    support = tableaux._support
+    # check reads the diagram through verify, the oracle through tableaux;
+    # both reads are patched, so both see the forced row emptied.
+    diagram = tableaux._diagram
     failures = 0
     for word in itertools.permutations(range(1, 7)):
         w = Permutation(word)
-        # both fibers are built before the support is patched, since a
+        # both fibers are built before the diagram is patched, since a
         # build reads it; the oracle reads them from the poset cache
         cached_poset(w)
         cached_poset(w.inverse())
 
         def no_forced_row(v, w=w):
-            boxes = support(v)
-            return boxes if v == w else ((0, 0),) * len(boxes)
+            d = diagram(v)
+            return d if v == w else d._replace(boxes=((0, 0),) * len(d.boxes))
 
         with monkeypatch.context() as m:
-            m.setattr(verify, "_support", no_forced_row)
-            m.setattr(tableaux, "_support", no_forced_row)
+            m.setattr(verify, "_diagram", no_forced_row)
+            m.setattr(tableaux, "_diagram", no_forced_row)
             got, want = reports(monkeypatch, w, names=("transpose",))
         assert got == want, w
         failures += got["checks"][0]["status"] == "fail"

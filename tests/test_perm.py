@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chutelat.perm import Permutation
+from chutelat.perm import Permutation, _diagram
 
 
 def test_parse_digits():
@@ -86,7 +86,7 @@ def test_inversions_361542():
 def test_inversions_cache_matches_position_pairs_and_stays_bounded():
     for word in itertools.permutations(range(1, 6)):
         w = Permutation(word)
-        w.inversions()  # fills the cache; the call below reads it back
+        w.inversions()  # fills the diagram cache; the call below reads it back
         # value pairs (i, j), i < j, with i at the later position
         want = {
             (word[q], word[p])
@@ -97,7 +97,7 @@ def test_inversions_cache_matches_position_pairs_and_stays_bounded():
         assert w.inversions() == want, word
     for word in itertools.permutations(range(1, 7)):
         Permutation(word).inversions()
-    info = Permutation.inversions.cache_info()
+    info = _diagram.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
 

@@ -42,7 +42,8 @@ from chutelat.pipedream import (
     transpose_rows,
     triforce_embed,
 )
-from chutelat.tableaux import _column_starts, _relabel, _support, lehmer_vector, restrict
+from chutelat.tableaux import _relabel, lehmer_vector, restrict
+from test_diagram import oracle_column_starts, oracle_support
 from test_lattice_oracle import sampled_n7
 
 
@@ -53,13 +54,13 @@ from test_lattice_oracle import sampled_n7
 def _lehmer_slots(w: Permutation) -> tuple[dict, tuple[bool, ...], tuple[int, ...]]:
     """The table ``_crossing_vector`` reads a dream of w with: each
     inversion (i, j) of w, under both (i, j) and (j, i), mapped to its
-    slot in the Lehmer vector, the (column, row) order of ``_support``;
+    slot in the Lehmer vector, the (column, row) order of ``oracle_support``;
     per slot, whether it starts its column; and the row of each mask bit.
     A build computes it once and reads every element with it."""
     slot = {}
-    for s, (i, j) in enumerate(_support(w)):
+    for s, (i, j) in enumerate(oracle_support(w)):
         slot[i, j] = slot[j, i] = s
-    return slot, _column_starts(w), _layout(w.n)[2]
+    return slot, oracle_column_starts(w), _layout(w.n)[2]
 
 
 def _crossing_vector(pipes: list, table: tuple) -> tuple[int, ...] | None:
@@ -518,7 +519,7 @@ def dict_crossing_vector(cross_pipes, w):
     entries = {((h, v) if h < v else (v, h)): r for (r, _c), (h, v) in cross_pipes.items()}
     if entries.keys() != inv:
         return None
-    return bisect_relabel((j, entries[i, j]) for i, j in _support(w))
+    return bisect_relabel((j, entries[i, j]) for i, j in oracle_support(w))
 
 
 def test_crossing_vector_matches_the_dict_reader():
@@ -584,7 +585,7 @@ def assert_route_read_agrees(n, mask, w, pipes=None):
         return True
     vector, slots = got
     assert vector == want, (n, mask, w)
-    support = _support(w)
+    support = oracle_support(w)
     for b, pair in enumerate(pipes):
         if pair is not None:
             assert support[slots[b]] == tuple(sorted(pair)), (n, mask, w, b)

@@ -6,14 +6,13 @@ from collections import Counter
 import pytest
 
 from chutelat.errors import TheoremViolation
-from chutelat.perm import Permutation
+from chutelat.perm import Permutation, _diagram
 from chutelat.pipedream import PipeDream, theta
 from chutelat.poset import cached_poset
 from chutelat.tableaux import (
     InversionsTableau,
     LehmerTableau,
     StairTableau,
-    _support,
     delta_multiset,
     increment,
     increment_multiset,
@@ -216,13 +215,14 @@ def test_lehmer_vector_on_large_entries():
 
 
 def test_support_is_cached_and_bounded():
-    # every vector of a fiber reads the same support, so it is sorted once
+    # every vector of a fiber reads the same diagram record, so its boxes
+    # are sorted once
     for n in range(1, 7):
         for word in itertools.permutations(range(1, n + 1)):
             w = Permutation(word)
-            assert _support(w) == tuple(sorted(w.inversions(), key=lambda b: (b[1], b[0])))
-            assert _support(w) is _support(w)
-    info = _support.cache_info()
+            assert _diagram(w).boxes == tuple(sorted(w.inversions(), key=lambda b: (b[1], b[0])))
+            assert _diagram(w) is _diagram(w)
+    info = _diagram.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
 
